@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError, InsufficientDataError, ValidationError
 from .market_data import RevenueSeries, positive_overlap_window
@@ -62,7 +63,11 @@ class LogisticParams:
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """Grid-search estimate of logistic parameters from a revenue series.
+    """Least-squares logistic parameters of a revenue series.
+
+    ``k`` lies in ``(max, 5 * max]`` of the series' positive values and
+    minimises ``sse``, the level-space squared error, after the
+    linearized fit of ``a`` and ``b`` at that ``k`` (see ``fit_logistic``).
 
     ``degenerate`` is set when the linearized regression finds no usable
     growth (e.g. a series already saturated at a constant level); ``k`` is
@@ -147,78 +152,81 @@ def log_odds(p: LogisticParams, t: float) -> float:
     return p.b * t - p.a
 
 
-def fit_logistic(series: RevenueSeries, grid_points: int = 400) -> LogisticFit:
-    """Estimate (k, a, b) by grid search over k with a linearized inner fit.
+# fit_logistic's search of u = log((k - max) / max): from k = max * (1 + 1e-6) to k = 5 * max
+_U_LO, _U_HI = math.log(1e-6), math.log(4.0)
+_SCAN_POINTS = 48
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    For each candidate equilibrium k in ``(max, 5 * max]`` the transform
-    ``log((k - v) / v)`` is regressed on the year, and the candidate with
-    the smallest level-space squared error wins.  A local refinement pass
-    sharpens k within one coarse grid step.  Deterministic throughout.
+
+def fit_logistic(series: RevenueSeries) -> LogisticFit:
+    """Estimate (k, a, b) by a bounded search of the profile squared error.
+
+    For a fixed equilibrium k above every value, the Fisher-Pry transform
+    ``log((k - v) / v)`` is linear in the year, so least squares gives a
+    and b in closed form and leaves the level-space squared error SSE(k) a
+    function of k alone.  That profile is minimised over ``k`` in
+    ``(max, 5 * max]``, searched as ``u = log((k - max) / max)``: a scan of
+    48 evenly spaced u values from ``k = max * (1 + 1e-6)`` to
+    ``k = 5 * max``, then a golden-section search of the bracket around the
+    best scan point down to ``|du| <= 1e-9``.  The lowest-SSE candidate
+    evaluated wins.  Deterministic throughout.
     """
     points = [(year, value) for year, value in series.points.items() if value > 0.0]
-    if len(points) < 4:
+    n = len(points)
+    if n < 4:
         raise InsufficientDataError(
-            f"{series.technology}: logistic fit needs >= 4 positive points, got {len(points)}"
+            f"{series.technology}: logistic fit needs >= 4 positive points, got {n}"
         )
+    # The search runs on values scaled to a maximum of 1: the transform, and
+    # so a and b, are scale-free, and k and the SSE are scaled back at the end.
     vmax = max(value for _, value in points)
-    step = 4.0 * vmax / grid_points
-    coarse = [vmax + i * step for i in range(1, grid_points + 1)]
-    best = _best_candidate(points, coarse)
-    if best is None:
-        raise InsufficientDataError(
-            f"{series.technology}: no equilibrium candidate leaves >= 4 usable points"
-        )
-    k0 = best[0]
-    # second pass: same point count spread over +/- one coarse step around k0
-    half = grid_points // 2
-    fine_step = step / half
-    fine = [k0 + (i - half) * fine_step for i in range(grid_points + 1)]
-    refined = _best_candidate(points, [k for k in fine if k > vmax])
-    if refined is not None and refined[3] <= best[3]:
-        best = refined
-    k, a, b, sse = best
-    degenerate = not (b > 1e-12)
-    return LogisticFit(k=k, a=a, b=b, sse=sse, n_points=len(points), degenerate=degenerate)
+    scaled = [value / vmax for _, value in points]
+    # every value is below any k > max, so the centred years serve every candidate
+    t_mean = math.fsum(year for year, _ in points) / n
+    centred = [year - t_mean for year, _ in points]
+    sxx = math.fsum(x * x for x in centred)
+    log, exp, fsum = math.log, math.exp, math.fsum
+    evaluated: list[tuple[float, float, float, float]] = []
 
+    def profile(u: float) -> float:
+        k = min(1.0 + exp(u), 5.0)
+        ys = [log((k - w) / w) for w in scaled]
+        y_mean = fsum(ys) / n
+        slope = fsum(map(mul, centred, ys)) / sxx
+        # level(t) = k / (1 + exp(z)) with z = a - b * t = y_mean + slope * (t - t_mean);
+        # past z = 700 the level is below k * 1e-304 and is taken as 0, which avoids overflow
+        residuals = [
+            w - k / (1.0 + exp(z)) if (z := y_mean + slope * x) < 700.0 else w
+            for x, w in zip(centred, scaled)
+        ]
+        sse = fsum(map(mul, residuals, residuals))
+        evaluated.append((sse, k, y_mean - slope * t_mean, -slope))
+        return sse
 
-def _best_candidate(
-    points: list[tuple[int, float]], candidates: list[float]
-) -> tuple[float, float, float, float] | None:
-    best: tuple[float, float, float, float] | None = None
-    for k in candidates:
-        usable = [(t, v) for t, v in points if v < k]
-        if len(usable) < 4:
-            continue
-        ts = [float(t) for t, _ in usable]
-        ys = [math.log((k - v) / v) for _, v in usable]
-        slope, intercept = _line_fit(ts, ys)
-        a, b = intercept, -slope
-        sse = math.fsum(
-            (v - _logistic_raw(k, a, b, t)) ** 2 for t, v in points
-        )
-        if best is None or sse < best[3]:
-            best = (k, a, b, sse)
-    return best
-
-
-def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept, centered for numerical stability."""
-    n = len(xs)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    if sxx == 0.0:
-        return 0.0, y_mean
-    slope = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
-    return slope, y_mean - slope * x_mean
-
-
-def _logistic_raw(k: float, a: float, b: float, t: float) -> float:
-    z = a - b * t
-    if z >= 0.0:
-        e = math.exp(-z)
-        return k * e / (1.0 + e)
-    return k / (1.0 + math.exp(z))
+    scan = [_U_LO + (_U_HI - _U_LO) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
+    sses = [profile(u) for u in scan]
+    i = sses.index(min(sses))
+    lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, _SCAN_POINTS - 1)]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = profile(c), profile(d)
+    while hi - lo > 1e-9:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = profile(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = profile(d)
+    sse, k, a, b = min(evaluated, key=lambda candidate: candidate[0])
+    return LogisticFit(
+        k=k * vmax,
+        a=a,
+        b=b,
+        sse=sse * vmax * vmax,
+        n_points=n,
+        degenerate=not (b > 1e-12),
+    )
 
 
 def odds_relation(p1: LogisticParams, p2: LogisticParams) -> OddsRelation:

@@ -314,9 +314,12 @@ def _parse_optional_float(cell: str, row_no: int, column: str) -> float | None:
     if not text:
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise TableParseError(f"row {row_no}, column {column}: {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise TableParseError(f"row {row_no}: {column} must be a finite number, got {cell!r}")
+    return value
 
 
 def _cell(value: float | None) -> str:

@@ -17,6 +17,8 @@ from .cycle import (
     CrossoverResult,
     CycleAggregate,
     CycleSummary,
+    _mean,
+    _sample_sd,
     aggregate_cycles,
     crossover_year,
     cycle_metrics,
@@ -199,21 +201,6 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
 def _terminal_decline(series: RevenueSeries, residual_max: float) -> bool:
     peak = max(series.points.values())
     return series.points[series.last_year] <= residual_max * peak
-
-
-def _mean(values) -> float | None:
-    values = list(values)
-    if not values:
-        return None
-    return math.fsum(values) / len(values)
-
-
-def _sample_sd(values) -> float | None:
-    values = list(values)
-    if len(values) < 2:
-        return None
-    mean = math.fsum(values) / len(values)
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
 # ------------------------------------------------------------------ fits

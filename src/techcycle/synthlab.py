@@ -24,6 +24,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MAX_YEARS = 10_000
 
 
 def _splitmix64(index: int, seed: int) -> int:
@@ -53,6 +54,10 @@ class SyntheticScenario:
         first, last = self.years
         if first > last:
             raise ValidationError(f"empty year range {self.years}")
+        if last - first >= _MAX_YEARS:
+            raise ValidationError(
+                f"year range {self.years} covers {last - first + 1} years; at most {_MAX_YEARS}"
+            )
         if not (0.0 <= self.noise_rel < 1.0):
             raise ValidationError(f"noise_rel must be in [0, 1), got {self.noise_rel}")
         object.__setattr__(self, "seed", self.seed & _MASK64)

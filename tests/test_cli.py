@@ -51,6 +51,18 @@ class TestValidate:
         assert code == 2
         assert "header" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["revenue_nominal_musd", "revenue_real_musd", "units_m"])
+    def test_non_finite_number_exits_2(self, tiny_dataset, capsys, column, cell):
+        row = {"revenue_nominal_musd": "10.0", "revenue_real_musd": "", "units_m": "", column: cell}
+        (tiny_dataset / "data.csv").write_text(
+            "year,format," + ",".join(row) + "\n2000,Old," + ",".join(row.values()) + "\n"
+        )
+        code, _, err = run_cli("validate", *data_flags(tiny_dataset), capsys=capsys)
+        assert code == 2
+        assert f"{column} must be a finite number" in err
+        assert "Traceback" not in err
+
 
 class TestFit:
     def test_reference_window_acceleration(self, capsys):
@@ -205,6 +217,16 @@ class TestSimulate:
         cfg.write_text("k1 = 1000\n")
         code, _, err = run_cli("simulate", "--scenario", str(cfg), capsys=capsys)
         assert code == 2
+
+    def test_huge_year_range_exits_2(self, data_dir, tmp_path, capsys):
+        demo = (data_dir / "scenarios" / "dual_logistic_demo.cfg").read_text()
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(demo.replace("year_end = 40", "year_end = 100000000"))
+        code, _, err = run_cli("simulate", "--scenario", str(cfg),
+                               "--out", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2
+        assert "at most 10000" in err
+        assert "Traceback" not in err
 
 
 class TestReport:

@@ -102,6 +102,70 @@ class TestFitLogistic:
         with pytest.raises(InsufficientDataError):
             fit_logistic(series({2000: 1.0, 2001: 2.0, 2002: 3.0}))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1e3, 1e300])
+    def test_scale_changes_only_equilibrium(self, scale):
+        truth = LogisticParams(k=800.0, a=4.0, b=0.35)
+        noisy = series({
+            t: logistic_value(truth, float(t)) * (1.0 + 0.05 * math.sin(1.7 * t))
+            for t in range(0, 18)
+        })
+        base = fit_logistic(noisy)
+        scaled = fit_logistic(noisy.scaled(scale))
+        assert scaled.k == pytest.approx(base.k * scale, rel=1e-6)
+        assert scaled.a == pytest.approx(base.a, rel=1e-6)
+        assert scaled.b == pytest.approx(base.b, rel=1e-6)
+
+    @given(
+        params_strategy,
+        st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equilibrium_within_documented_range(self, p, noise):
+        points = {
+            t: logistic_value(p, float(t)) * (1.0 + eps) for t, eps in enumerate(noise)
+        }
+        vmax = max(points.values())
+        fit = fit_logistic(series(points))
+        assert vmax < fit.k <= 5 * vmax
+
+    @pytest.mark.parametrize("name, points", [
+        ("noisy logistic", {
+            t: logistic_value(LogisticParams(k=1000.0, a=6.0, b=0.5), float(t))
+            * (1.0 + 0.05 * math.sin(1.7 * t))
+            for t in range(0, 21)
+        }),
+        ("unsaturated growth, optimum at 5 * max", {t: 10.0 * 1.3**t for t in range(0, 16)}),
+        ("rise and fall, optimum next to max", {
+            t: 100.0 * math.exp(-(((t - 12) / 5.0) ** 2)) for t in range(0, 25)
+        }),
+        ("noisy plateau", {t: 400.0 + 3.0 * math.sin(2.3 * t) for t in range(0, 12)}),
+    ])
+    def test_matches_dense_profile_grid(self, name, points):
+        # The profile SSE at k, evaluated directly on a dense grid of
+        # u = log((k - max) / max) over the documented range of k.
+        vmax = max(points.values())
+        ts = [float(t) for t in points]
+        t_mean = math.fsum(ts) / len(ts)
+
+        def profile_sse(k):
+            ys = [math.log((k - v) / v) for v in points.values()]
+            y_mean = math.fsum(ys) / len(ys)
+            slope = math.fsum((t - t_mean) * y for t, y in zip(ts, ys)) / math.fsum(
+                (t - t_mean) ** 2 for t in ts
+            )
+            return math.fsum(
+                (v - k / (1.0 + math.exp(y_mean + slope * (t - t_mean)))) ** 2
+                for t, v in zip(ts, points.values())
+            )
+
+        u_lo, u_hi = math.log(1e-6), math.log(4.0)
+        grid_min = min(
+            profile_sse(vmax * (1.0 + math.exp(u_lo + (u_hi - u_lo) * j / 3999)))
+            for j in range(4000)
+        )
+        fit = fit_logistic(series(points, name))
+        assert fit.sse <= (1.0 + 1e-9) * grid_min
+
 
 class TestOddsRelation:
     def test_identical_curves(self):

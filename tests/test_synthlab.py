@@ -56,6 +56,13 @@ class TestGenerateScenario:
         with pytest.raises(ValidationError):
             scenario(years=(10, 0))
 
+    def test_year_range_capped_at_ten_thousand_years(self):
+        assert scenario(years=(0, 9_999)).years == (0, 9_999)
+        with pytest.raises(ValidationError, match="10000"):
+            scenario(years=(0, 10_000))
+        with pytest.raises(ValidationError):
+            scenario(years=(0, 100_000_000))
+
 
 class TestRecoveryExperiment:
     def test_ratio_two_early_window(self):
