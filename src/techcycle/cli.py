@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: validate, fit, cycles, crossover, simulate, report.
-Exit codes: 0 success (including benign empty results), 2 input error,
-3 insufficient data for the requested estimate.
+Exit codes: 0 success (including benign empty results and a reader that
+closed stdout early), 2 input error, 3 insufficient data for the requested
+estimate.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,7 +41,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early; point stdout at devnull so the interpreter's
+        # final flush of what is still buffered does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InsufficientDataError, WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
@@ -232,9 +242,10 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = scenario_from_mapping(read_kv_file(args.scenario))
+    values = read_kv_file(args.scenario)
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        values["seed"] = str(args.seed)
+    scenario = scenario_from_mapping(values)
     window = parse_window_spec(args.window) if args.window else None
     result = recovery_experiment(scenario, early_fraction=args.early_fraction, window=window)
     if args.out:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
+from ._record import frozen
 from .errors import ConfigError, ValidationError
 from .market_data import CpiTable, RevenueRecord, TechnologyGroup, parse_revenue_table
 
@@ -34,7 +36,7 @@ DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
 def read_kv_file(path: str | Path) -> dict[str, str]:
     """Parse ``name = value`` lines, preserving order."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -73,7 +75,7 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
 def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
     """Read a ``year,index`` CSV into a CPI table."""
     entries: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["year", "index"]:
@@ -95,7 +97,7 @@ def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
-    return parse_revenue_table(Path(path).read_text(encoding="utf-8"))
+    return parse_revenue_table(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def parse_window_spec(spec: str) -> tuple[int, int] | None:
@@ -115,7 +117,7 @@ def parse_window_spec(spec: str) -> tuple[int, int] | None:
     return window
 
 
-@dataclass(frozen=True)
+@frozen
 class ReferenceConfig:
     """Pinned analysis choices for the reproducible headline report.
 
@@ -134,7 +136,7 @@ class ReferenceConfig:
     table2_window: tuple[int, int] | None = None
     table3_pairs: tuple[tuple[str, tuple[str, ...]], ...] = ()
     dp_residual_max: float = 0.10
-    a_overrides: dict[str, int] = field(default_factory=dict)
+    a_overrides: Mapping[str, int] = MappingProxyType({})
 
 
 def load_reference(path: str | Path) -> ReferenceConfig:
@@ -177,7 +179,7 @@ def load_reference(path: str | Path) -> ReferenceConfig:
             table2_window=parse_window_spec(get("table2_window", "auto")),
             table3_pairs=tuple(pairs),
             dp_residual_max=float(get("dp_residual_max", "0.10")),
-            a_overrides=a_overrides,
+            a_overrides=MappingProxyType(a_overrides),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed numeric value: {exc}") from None

@@ -8,10 +8,10 @@ of the whole cycle are the quantities aggregated across technologies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from ._record import frozen
 from .errors import (
     DegenerateCycleError,
     DomainError,
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleEvents:
     """Begin (A), peak (M) and end (Z) years of one technology's cycle.
 
@@ -64,7 +64,7 @@ class CycleEvents:
             raise ValidationError(f"{self.technology}: end year without a peak year")
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleSummary:
     """Wave lengths derived from the events; fields are absent (None) when
     the underlying event is still ongoing."""
@@ -77,7 +77,7 @@ class CycleSummary:
     down_share: float | None
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleAggregate:
     """Column-wise mean and sample standard deviation over cycle summaries.
 
@@ -100,7 +100,7 @@ class CycleAggregate:
         object.__setattr__(self, "n_per_column", MappingProxyType(dict(self.n_per_column)))
 
 
-@dataclass(frozen=True)
+@frozen
 class CrossoverResult:
     """First year the disruptor holds more than half the pairwise revenue.
 

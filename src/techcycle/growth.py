@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import mul
 
+from ._record import frozen
 from .errors import DomainError, InsufficientDataError, ValidationError
 from .market_data import RevenueSeries, positive_overlap_window
 from .regress import OlsFit, ols_simple
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class LogisticParams:
     """Parameters of ``level(t) = k / (1 + exp(a - b * t))``.
 
@@ -61,7 +61,7 @@ class LogisticParams:
         return self.a / self.b
 
 
-@dataclass(frozen=True)
+@frozen
 class LogisticFit:
     """Least-squares logistic parameters of a revenue series.
 
@@ -88,7 +88,7 @@ class LogisticFit:
         return LogisticParams(k=self.k, a=self.a, b=self.b)
 
 
-@dataclass(frozen=True)
+@frozen
 class OddsRelation:
     """Exact coupling of two logistic curves through their odds transforms.
 
@@ -122,7 +122,7 @@ class Regime(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@frozen
 class SubstitutionFit:
     """Estimated power law ``new = exp(log_a) * old ** b_exponent``."""
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from ._record import frozen
 from .errors import (
     DuplicateRecordError,
     EmptyGroupError,
@@ -43,7 +43,7 @@ YEAR_MIN = 1900
 YEAR_MAX = 2100
 
 
-@dataclass(frozen=True)
+@frozen
 class RevenueRecord:
     """One format's revenue in one calendar year, in millions of dollars."""
 
@@ -66,7 +66,7 @@ class RevenueRecord:
                 raise ValidationError(f"{self.year} {self.format!r}: {name} must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class RevenueSeries:
     """A technology's annual constant-dollar revenue, ordered by year.
 
@@ -119,7 +119,7 @@ class RevenueSeries:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class TechnologyGroup:
     """A named technology defined as the sum of raw format labels."""
 
@@ -132,7 +132,7 @@ class TechnologyGroup:
         object.__setattr__(self, "formats", tuple(self.formats))
 
 
-@dataclass(frozen=True)
+@frozen
 class CpiTable:
     """Annual price index used to express revenue in base-year dollars."""
 

@@ -8,14 +8,14 @@ incomplete beta function rather than from lookup tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .errors import DegenerateRegressorError, DomainError, InsufficientDataError
 
 __all__ = ["OlsFit", "ols_simple", "t_p_value", "significance_stars"]
 
 
-@dataclass(frozen=True)
+@frozen
 class OlsFit:
     """Result of a one-regressor least-squares fit.
 

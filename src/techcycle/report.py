@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import frozen
 from .config import ReferenceConfig, load_cpi_csv, load_groups, load_revenue_csv
 from .cycle import (
     CrossoverResult,
@@ -41,7 +41,7 @@ from .regress import significance_stars
 __all__ = ["Dataset", "PairRow", "MarketReport", "load_dataset", "build_report"]
 
 
-@dataclass(frozen=True)
+@frozen
 class Dataset:
     """Parsed inputs plus one constant-dollar series per technology."""
 
@@ -83,7 +83,7 @@ def load_dataset(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class PairRow:
     """One established/disruptive pairing in the crossover table."""
 
@@ -96,7 +96,7 @@ class PairRow:
     disruption_period: int | None
 
 
-@dataclass(frozen=True)
+@frozen
 class MarketReport:
     """Everything `report` writes: two fits, the pair table, the cycle table."""
 

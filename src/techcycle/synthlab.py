@@ -8,8 +8,8 @@ and platforms with no generator state to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .errors import ValidationError, WindowError
 from .growth import LogisticParams, fit_substitution, implied_exponent, logistic_value
 from .market_data import RevenueSeries
@@ -40,7 +40,7 @@ def _uniform_pm1(index: int, seed: int) -> float:
     return 2.0 * ((_splitmix64(index, seed) >> 11) / float(1 << 53)) - 1.0
 
 
-@dataclass(frozen=True)
+@frozen
 class SyntheticScenario:
     """A pair of logistic technologies sampled annually with optional noise."""
 
@@ -63,7 +63,7 @@ class SyntheticScenario:
         object.__setattr__(self, "seed", self.seed & _MASK64)
 
 
-@dataclass(frozen=True)
+@frozen
 class RecoveryReport:
     """Fitted vs theoretical growth exponent on one synthetic scenario."""
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -62,6 +63,16 @@ class TestValidate:
         assert code == 2
         assert f"{column} must be a finite number" in err
         assert "Traceback" not in err
+
+    def test_utf8_bom_inputs_accepted(self, data_dir, tmp_path, capsys):
+        for name in ("riaa_revenue.csv", "cpi.csv", "groups.cfg"):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+        plain = run_cli("validate", capsys=capsys)
+        bom = run_cli("validate", "--data", str(tmp_path / "riaa_revenue.csv"),
+                      "--cpi", str(tmp_path / "cpi.csv"),
+                      "--groups", str(tmp_path / "groups.cfg"), capsys=capsys)
+        assert bom == plain
+        assert bom[0] == 0
 
 
 class TestFit:
@@ -212,6 +223,20 @@ class TestSimulate:
             results.append((out_dir / "disruptive.csv").read_bytes())
         assert results[0] != results[1]
 
+    @pytest.mark.parametrize("flag", ["7", str((1 << 64) + 7)])
+    def test_seed_flag_matches_seed_in_file(self, data_dir, tmp_path, capsys, flag):
+        demo_path = data_dir / "scenarios" / "dual_logistic_demo.cfg"
+        demo = demo_path.read_text()
+        assert "seed = 42\n" in demo
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(demo.replace("seed = 42\n", "seed = 7\n"))
+        from_file = run_cli("simulate", "--scenario", str(cfg), "--format", "json",
+                            capsys=capsys)
+        from_flag = run_cli("simulate", "--scenario", str(demo_path), "--seed", flag,
+                            "--format", "json", capsys=capsys)
+        assert from_flag == from_file
+        assert json.loads(from_flag[1])["seed"] == 7
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("k1 = 1000\n")
@@ -297,3 +322,19 @@ class TestConsoleScript:
         assert result.returncode == 0
         for command in ("validate", "fit", "cycles", "crossover", "simulate", "report"):
             assert command in result.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe_exits_0_quietly(self, checkout_env, unbuffered):
+        checkout_env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            checkout_env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes a byte
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "techcycle.cli", "validate"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=checkout_env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
