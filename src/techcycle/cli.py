@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, fit, cycles, crossover, simulate, report.
+Every table quantity comes from report.py: `cycles` prints Table 4 and
+`crossover` prints one Table 3 row, under the same reference config
+(--config) that `report` reads, and all output goes through one renderer.
 Exit codes: 0 success (including benign empty results and a reader that
 closed stdout early), 2 input error, 3 insufficient data for the requested
 estimate.
@@ -9,26 +12,17 @@ estimate.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .config import (
-    ReferenceConfig,
-    default_data_dir,
-    load_reference,
-    parse_window_spec,
-    read_kv_file,
-)
-from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events, disruption_period
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    TechCycleError,
-    WindowError,
-)
+from .config import default_data_dir, load_reference, parse_window_spec, read_kv_file
+
+# Not called here (Tables 3 and 4 are computed in report.py), but
+# perfbench/tracing.py looks these names up in this module.
+from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
+from .errors import InsufficientDataError, TechCycleError, WindowError
 from .growth import fit_substitution
 from .synthlab import generate_scenario, recovery_experiment, scenario_from_mapping
 
@@ -85,6 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                        help="output format (default text)")
 
+    def add_config_flag(p):
+        p.add_argument("--config", default=str(default_data_dir() / "reference.cfg"),
+                       help="reference config (default: bundled reference.cfg)")
+
     p = sub.add_parser("validate", help="parse and sanity-check a dataset")
     add_data_flags(p)
     p.set_defaults(handler=cmd_validate)
@@ -102,19 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="lifecycle table for every technology")
     add_data_flags(p)
     add_format_flag(p)
-    p.add_argument("--config", default=None,
-                   help="reference config for begin-year overrides "
-                        "(default: bundled reference.cfg)")
-    p.add_argument("--end-threshold", type=float, default=None,
-                   help="end-of-revenues threshold as a fraction of peak")
+    add_config_flag(p)
     p.set_defaults(handler=cmd_cycles)
 
     p = sub.add_parser("crossover", help="first year a disruptor takes half the pair")
     add_data_flags(p)
     add_format_flag(p)
+    add_config_flag(p)
     p.add_argument("--old", required=True)
     p.add_argument("--new", required=True)
-    p.add_argument("--end-threshold", type=float, default=0.01)
     p.set_defaults(handler=cmd_crossover)
 
     p = sub.add_parser("simulate", help="run a synthetic dual-logistic scenario")
@@ -130,27 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="write the full analysis tables and plot series")
     add_data_flags(p)
     add_format_flag(p)
-    p.add_argument("--config", default=None,
-                   help="reference config (default: bundled reference.cfg)")
+    add_config_flag(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_report)
 
     return parser
 
 
-def _load_reference_or_default(path: str | None) -> ReferenceConfig:
-    if path is not None:
-        return load_reference(path)
-    return load_reference(default_data_dir() / "reference.cfg")
+def _load_inputs(args):
+    """The dataset and the reference config of a subcommand that takes --config."""
+    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
+    return dataset, load_reference(args.config)
 
 
 def _emit(args, mapping: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(mapping, indent=2))
-    elif args.format == "csv":
-        print(report_mod.mapping_to_csv(mapping), end="")
-    else:
-        print(text, end="")
+    print(report_mod.render(args.format, mapping, text), end="")
 
 
 def cmd_validate(args) -> int:
@@ -187,57 +175,33 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
-    ref = _load_reference_or_default(args.config)
-    threshold = args.end_threshold if args.end_threshold is not None else ref.end_threshold_rel
-    summaries = []
-    for group in dataset.groups:
-        events = detect_events(
-            dataset.series[group.name],
-            end_threshold_rel=threshold,
-            a_override=ref.a_overrides.get(group.name),
-        )
-        summaries.append(cycle_metrics(events))
-    aggregate = aggregate_cycles(summaries)
-    mapping = {
-        "rows": report_mod.table4_to_rows(summaries),
-        "aggregate": report_mod.aggregate_to_mapping(aggregate),
-    }
-    _emit(args, mapping, report_mod.render_table4_text(summaries, aggregate))
+    summaries, aggregate = report_mod.cycle_table(*_load_inputs(args))
+    _emit(
+        args,
+        report_mod.table4_to_mapping(summaries, aggregate),
+        report_mod.render_table4_text(summaries, aggregate),
+    )
     return EXIT_OK
 
 
 def cmd_crossover(args) -> int:
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
-    established = dataset.series_for(args.old)
-    disruptive = dataset.series_for(args.new)
-    try:
-        result = crossover_year(established, disruptive)
-    except DomainError:
-        result = None  # no comparable year at all
-    mapping: dict = {"established": args.old, "disruptive": args.new}
-    if result is None:
-        mapping["crossover_year"] = None
-        _emit(args, mapping, "no crossover in data\n")
-        return EXIT_OK
-    mapping["crossover_year"] = result.year
-    mapping["established_share_pct"] = result.established_share
-    mapping["crossover_at_boundary"] = result.boundary
-    lines = [
-        f"crossover year: {result.year}"
-        + (" (already in force at first comparable year)" if result.boundary else ""),
-        f"established share: {result.established_share:.2f}%",
-    ]
-    events = detect_events(established, end_threshold_rel=args.end_threshold)
-    if events.m_year is not None and events.z_year is not None:
-        dp = disruption_period(events)
-        mapping["disruption_period_years"] = dp
-        mapping["end_censored"] = events.censored
-        lines.append(
-            f"disruption period: {dp} years (peak {events.m_year}, "
-            f"end {events.z_year}{'*' if events.censored else ''})"
+    row = report_mod.table3(*_load_inputs(args), last=(args.old, args.new))[-1]
+    cross = row.crossover
+    if cross is None:
+        text = "no crossover in data\n"
+    else:
+        if row.dp_note is None:
+            end = f"{row.end_year}{'*' if row.end_censored else ''}"
+            dp = f"{row.disruption_period} years (peak {row.peak_year}, end {end})"
+        else:
+            dp = f"not counted ({row.dp_note})"
+        text = (
+            f"crossover year: {cross.year}"
+            f"{' (already in force at first comparable year)' if cross.boundary else ''}\n"
+            f"established share: {cross.established_share:.2f}%\n"
+            f"disruption period: {dp}\n"
         )
-    _emit(args, mapping, "\n".join(lines) + "\n")
+    _emit(args, report_mod.pair_to_mapping(row), text)
     return EXIT_OK
 
 
@@ -252,11 +216,8 @@ def cmd_simulate(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for series in generate_scenario(scenario):
-            rows = ["year,level"]
-            rows += [f"{year},{value!r}" for year, value in series.points.items()]
-            (out / f"{series.technology}.csv").write_text(
-                "\n".join(rows) + "\n", encoding="utf-8"
-            )
+            path = out / f"{series.technology}.csv"
+            path.write_text(report_mod.series_to_csv(series, "level"), encoding="utf-8")
     mapping = {
         "b_theoretical": result.b_theoretical,
         "b_fitted": result.b_fitted,
@@ -278,8 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
-    ref = _load_reference_or_default(args.config)
+    dataset, ref = _load_inputs(args)
     market = report_mod.build_report(dataset, ref)
     written = report_mod.write_report(market, dataset, args.out, args.format)
     for path in written:

@@ -9,6 +9,7 @@ keys individually.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from pathlib import Path
 from types import MappingProxyType
@@ -33,10 +34,20 @@ __all__ = [
 DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
 
 
+def _read_text(path: str | Path) -> str:
+    """Decode a UTF-8 input file, dropping one leading byte-order mark."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not UTF-8") from None
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def read_kv_file(path: str | Path) -> dict[str, str]:
     """Parse ``name = value`` lines, preserving order."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -75,21 +86,23 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
 def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
     """Read a ``year,index`` CSV into a CPI table."""
     entries: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["year", "index"]:
-            raise ConfigError(f"{path}: expected header 'year,index'")
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                year, index = int(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
-            if year in entries:
-                raise ConfigError(f"{path}: duplicate CPI year {year}")
-            entries[year] = index
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows or [h.strip() for h in rows[0]] != ["year", "index"]:
+        raise ConfigError(f"{path}: expected header 'year,index'")
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            year, index = int(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            raise ConfigError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
+        if year in entries:
+            raise ConfigError(f"{path}: duplicate CPI year {year}")
+        entries[year] = index
     try:
         return CpiTable(entries=entries, base_year=base_year)
     except ValidationError as exc:
@@ -97,7 +110,7 @@ def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
-    return parse_revenue_table(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_revenue_table(_read_text(path))
 
 
 def parse_window_spec(spec: str) -> tuple[int, int] | None:
@@ -125,7 +138,6 @@ class ReferenceConfig:
     judgment calls; checking them in keeps `report` a one-command rerun.
     """
 
-    base_year: int = 2018
     end_threshold_rel: float = 0.01
     regime_tolerance: float = 0.05
     table1_old: str = "cassette"
@@ -139,50 +151,50 @@ class ReferenceConfig:
     a_overrides: Mapping[str, int] = MappingProxyType({})
 
 
-def load_reference(path: str | Path) -> ReferenceConfig:
-    values = read_kv_file(path)
-    a_overrides: dict[str, int] = {}
-    for key, value in values.items():
-        if key.startswith("a_override."):
-            tech = key[len("a_override."):]
-            try:
-                a_overrides[tech] = int(value)
-            except ValueError:
-                raise ConfigError(f"{path}: {key} must be an integer year") from None
-
-    def get(key: str, default: str) -> str:
-        return values.get(key, default)
-
-    pairs: list[tuple[str, tuple[str, ...]]] = []
-    for chunk in get("table3_pairs", "").split(";"):
+def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    pairs = []
+    for chunk in value.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         old, sep, new = chunk.partition(":")
         if not sep:
-            raise ConfigError(f"{path}: pair {chunk!r} must be 'established:disruptive'")
+            raise ValueError(f"pair {chunk!r} must be 'established:disruptive'")
         disruptors = tuple(part.strip() for part in new.split("+") if part.strip())
         if not old.strip() or not disruptors:
-            raise ConfigError(f"{path}: pair {chunk!r} is incomplete")
+            raise ValueError(f"pair {chunk!r} is incomplete")
         pairs.append((old.strip(), disruptors))
+    return tuple(pairs)
 
-    try:
-        return ReferenceConfig(
-            base_year=int(get("base_year", "2018")),
-            end_threshold_rel=float(get("end_threshold_rel", "0.01")),
-            regime_tolerance=float(get("regime_tolerance", "0.05")),
-            table1_old=get("table1_old", "cassette"),
-            table1_new=get("table1_new", "cd"),
-            table1_window=parse_window_spec(get("table1_window", "auto")),
-            table2_old=get("table2_old", "cd"),
-            table2_new=get("table2_new", "streaming"),
-            table2_window=parse_window_spec(get("table2_window", "auto")),
-            table3_pairs=tuple(pairs),
-            dp_residual_max=float(get("dp_residual_max", "0.10")),
-            a_overrides=MappingProxyType(a_overrides),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed numeric value: {exc}") from None
+
+# Parsers of the keys whose value is not read as the type of their default.
+_PARSERS = {
+    "table1_window": parse_window_spec,
+    "table2_window": parse_window_spec,
+    "table3_pairs": _parse_pairs,
+}
+
+
+def load_reference(path: str | Path) -> ReferenceConfig:
+    """Read a reference config: one key per ``ReferenceConfig`` field, with
+    ``a_override.<technology> = <year>`` keys for ``a_overrides``.  Absent
+    keys keep the class defaults; unknown keys are errors.
+    """
+    defaults = ReferenceConfig()
+    fields: dict = {}
+    a_overrides: dict[str, int] = {}
+    for key, value in read_kv_file(path).items():
+        if key.startswith("a_override."):
+            target, name, parse = a_overrides, key[len("a_override."):], int
+        elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
+            target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
+        else:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        try:
+            target[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
+    return ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
 
 
 def default_data_dir() -> Path:

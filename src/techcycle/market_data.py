@@ -164,16 +164,19 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
     """
     reader = csv.reader(io.StringIO(raw_text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise TableParseError("empty input: missing header row") from None
+        rows = list(reader)
+    except csv.Error as exc:
+        raise TableParseError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise TableParseError("empty input: missing header row")
+    header = rows[0]
     if tuple(h.strip() for h in header) != REVENUE_HEADER:
         raise TableParseError(
             f"unexpected header {header!r}; expected {','.join(REVENUE_HEADER)}"
         )
     records: list[RevenueRecord] = []
     seen: set[tuple[int, str]] = set()
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in enumerate(rows[1:], start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(REVENUE_HEADER):

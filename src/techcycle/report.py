@@ -25,7 +25,7 @@ from .cycle import (
     detect_events,
     disruption_period,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .growth import SubstitutionFit, fit_substitution
 from .market_data import (
     CpiTable,
@@ -94,6 +94,7 @@ class PairRow:
     end_year: int | None
     end_censored: bool
     disruption_period: int | None
+    dp_note: str | None = None  # why disruption_period is None
 
 
 @frozen
@@ -112,6 +113,83 @@ class MarketReport:
     labels: dict[str, str]
 
 
+def _events(ref: ReferenceConfig, name: str, series: RevenueSeries):
+    """A technology's cycle events under the config's end threshold and begin year."""
+    return detect_events(
+        series, end_threshold_rel=ref.end_threshold_rel, a_override=ref.a_overrides.get(name)
+    )
+
+
+def pair_row(
+    dataset: Dataset, ref: ReferenceConfig, old: str, new: str, counted: set[str]
+) -> PairRow:
+    """Crossover and disruption period (DP) of one Table 3 pairing.
+
+    A DP is counted for a crossover inside the data, once per established
+    technology (``counted`` gains ``old`` when this row counts it), and only
+    once its revenue has ended and fallen to ``dp_residual_max`` of its peak.
+    """
+    established = dataset.series_for(old)
+    try:
+        crossover = crossover_year(established, dataset.series_for(new))
+    except DomainError:
+        crossover = None
+    events = _events(ref, old, established)
+    peak = max(established.points.values())
+    latest = established.points[established.last_year]
+    if crossover is None:
+        note = "no crossover in data"
+    elif crossover.boundary:
+        note = "boundary crossover, earlier years unobserved"
+    elif old in counted:
+        note = f"already counted for {old} in an earlier pair"
+    elif events.m_year is None or events.z_year is None:
+        note = f"{old} has no peak and end in the data"
+    elif latest > ref.dp_residual_max * peak:
+        note = f"{old} still at {100.0 * latest / peak:.2f}% of peak, above dp_residual_max"
+    else:
+        note = None
+        counted.add(old)
+    return PairRow(
+        established=old,
+        disruptive=new,
+        crossover=crossover,
+        peak_year=events.m_year,
+        end_year=events.z_year,
+        end_censored=events.censored,
+        disruption_period=None if note else disruption_period(events),
+        dp_note=note,
+    )
+
+
+def table3(
+    dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
+) -> list[PairRow]:
+    """Table 3: the config's pairs, else each group and the next.
+
+    With ``last``, the rows up to that pair, or that pair alone if unlisted.
+    """
+    if ref.table3_pairs:
+        pairs = [(old, "+".join(new)) for old, new in ref.table3_pairs]
+    else:
+        pairs = [(old.name, new.name) for old, new in zip(dataset.groups, dataset.groups[1:])]
+    if last is not None:
+        pairs = pairs[: pairs.index(last) + 1] if last in pairs else [last]
+    counted: set[str] = set()
+    return [pair_row(dataset, ref, old, new, counted) for old, new in pairs]
+
+
+def cycle_table(
+    dataset: Dataset, ref: ReferenceConfig
+) -> tuple[list[CycleSummary], CycleAggregate]:
+    """Table 4: every group's cycle summary, in group order, and their aggregate."""
+    summaries = [
+        cycle_metrics(_events(ref, group.name, dataset.series[group.name]))
+        for group in dataset.groups
+    ]
+    return summaries, aggregate_cycles(summaries)
+
+
 def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
     table1 = fit_substitution(
         dataset.series_for(ref.table1_new),
@@ -125,62 +203,14 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
         window=ref.table2_window,
         tolerance=ref.regime_tolerance,
     )
-
-    pairs = ref.table3_pairs or tuple(
-        (old.name, (new.name,))
-        for old, new in zip(dataset.groups, dataset.groups[1:])
-    )
-    rows: list[PairRow] = []
-    dp_counted: set[str] = set()
-    for old_name, new_parts in pairs:
-        established = dataset.series_for(old_name)
-        disruptive = dataset.series_for("+".join(new_parts))
-        crossover = crossover_year(established, disruptive)
-        events = detect_events(
-            established,
-            end_threshold_rel=ref.end_threshold_rel,
-            a_override=ref.a_overrides.get(old_name),
-        )
-        dp = None
-        if (
-            crossover is not None
-            and not crossover.boundary
-            and old_name not in dp_counted
-            and events.m_year is not None
-            and events.z_year is not None
-            and _terminal_decline(established, ref.dp_residual_max)
-        ):
-            dp = disruption_period(events)
-            dp_counted.add(old_name)
-        rows.append(
-            PairRow(
-                established=old_name,
-                disruptive="+".join(new_parts),
-                crossover=crossover,
-                peak_year=events.m_year,
-                end_year=events.z_year,
-                end_censored=events.censored,
-                disruption_period=dp,
-            )
-        )
-
+    rows = table3(dataset, ref)
     shares = [
         row.crossover.established_share
         for row in rows
         if row.crossover is not None and not row.crossover.boundary
     ]
     dps = [float(row.disruption_period) for row in rows if row.disruption_period is not None]
-
-    summaries = []
-    for group in dataset.groups:
-        events = detect_events(
-            dataset.series[group.name],
-            end_threshold_rel=ref.end_threshold_rel,
-            a_override=ref.a_overrides.get(group.name),
-        )
-        summaries.append(cycle_metrics(events))
-    aggregate = aggregate_cycles(summaries)
-
+    summaries, aggregate = cycle_table(dataset, ref)
     return MarketReport(
         table1=table1,
         table2=table2,
@@ -196,11 +226,6 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
             "table2": f"{ref.table2_new} vs {ref.table2_old}",
         },
     )
-
-
-def _terminal_decline(series: RevenueSeries, residual_max: float) -> bool:
-    peak = max(series.points.values())
-    return series.points[series.last_year] <= residual_max * peak
 
 
 # ------------------------------------------------------------------ fits
@@ -255,24 +280,23 @@ def _fmt(value: float, digits: int, width: int = 0) -> str:
 
 # ------------------------------------------------------------------ table3
 
+def pair_to_mapping(row: PairRow) -> dict:
+    cross = row.crossover
+    return {
+        "established": row.established,
+        "disruptive": row.disruptive,
+        "crossover_year": None if cross is None else cross.year,
+        "established_share_pct": None if cross is None else cross.established_share,
+        "crossover_at_boundary": False if cross is None else cross.boundary,
+        "peak_year": row.peak_year,
+        "end_year": row.end_year,
+        "end_censored": row.end_censored,
+        "disruption_period_years": row.disruption_period,
+    }
+
+
 def table3_to_rows(report: MarketReport) -> list[dict]:
-    rows = []
-    for row in report.table3:
-        cross = row.crossover
-        rows.append(
-            {
-                "established": row.established,
-                "disruptive": row.disruptive,
-                "crossover_year": None if cross is None else cross.year,
-                "established_share_pct": None if cross is None else cross.established_share,
-                "crossover_at_boundary": False if cross is None else cross.boundary,
-                "peak_year": row.peak_year,
-                "end_year": row.end_year,
-                "end_censored": row.end_censored,
-                "disruption_period_years": row.disruption_period,
-            }
-        )
-    return rows
+    return [pair_to_mapping(row) for row in report.table3]
 
 
 def render_table3_text(report: MarketReport) -> str:
@@ -309,29 +333,23 @@ def render_table3_text(report: MarketReport) -> str:
 
 # ------------------------------------------------------------------ table4
 
-def table4_to_rows(summaries) -> list[dict]:
-    rows = []
-    for summary in summaries:
-        events = summary.events
-        rows.append(
-            {
-                "technology": events.technology,
-                "a_year": events.a_year,
-                "m_year": events.m_year,
-                "z_year": events.z_year,
-                "z_censored": events.censored,
-                "up_wave_years": summary.am,
-                "down_wave_years": summary.mz,
-                "cycle_years": summary.az,
-                "up_share_pct": summary.up_share,
-                "down_share_pct": summary.down_share,
-            }
-        )
-    return rows
-
-
-def aggregate_to_mapping(agg: CycleAggregate) -> dict:
-    return {
+def table4_to_mapping(summaries, agg: CycleAggregate) -> dict:
+    rows = [
+        {
+            "technology": summary.events.technology,
+            "a_year": summary.events.a_year,
+            "m_year": summary.events.m_year,
+            "z_year": summary.events.z_year,
+            "z_censored": summary.events.censored,
+            "up_wave_years": summary.am,
+            "down_wave_years": summary.mz,
+            "cycle_years": summary.az,
+            "up_share_pct": summary.up_share,
+            "down_share_pct": summary.down_share,
+        }
+        for summary in summaries
+    ]
+    aggregate = {
         "mean_up_wave": agg.mean_am,
         "mean_down_wave": agg.mean_mz,
         "mean_cycle": agg.mean_az,
@@ -342,6 +360,7 @@ def aggregate_to_mapping(agg: CycleAggregate) -> dict:
         "mean_down_share_pct": agg.mean_down_share,
         "n_per_column": dict(agg.n_per_column),
     }
+    return {"rows": rows, "aggregate": aggregate}
 
 
 def render_table4_text(summaries, agg: CycleAggregate) -> str:
@@ -393,53 +412,47 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
     plots.mkdir(exist_ok=True)
     written: list[Path] = []
 
+    labels = report.labels
     tables = {
         "table1": (
-            lambda: render_fit_text(report.table1, report.labels["table1"]),
-            lambda: fit_to_mapping(report.table1, report.labels["table1"]),
+            fit_to_mapping(report.table1, labels["table1"]),
+            render_fit_text(report.table1, labels["table1"]),
         ),
         "table2": (
-            lambda: render_fit_text(report.table2, report.labels["table2"]),
-            lambda: fit_to_mapping(report.table2, report.labels["table2"]),
+            fit_to_mapping(report.table2, labels["table2"]),
+            render_fit_text(report.table2, labels["table2"]),
         ),
         "table3": (
-            lambda: render_table3_text(report),
-            lambda: {
+            {
                 "rows": table3_to_rows(report),
                 "share_mean_pct": report.share_mean,
                 "share_sd_pct": report.share_sd,
                 "dp_mean_years": report.dp_mean,
                 "dp_sd_years": report.dp_sd,
             },
+            render_table3_text(report),
         ),
         "table4": (
-            lambda: render_table4_text(report.table4, report.table4_aggregate),
-            lambda: {
-                "rows": table4_to_rows(report.table4),
-                "aggregate": aggregate_to_mapping(report.table4_aggregate),
-            },
+            table4_to_mapping(report.table4, report.table4_aggregate),
+            render_table4_text(report.table4, report.table4_aggregate),
         ),
     }
-    for name, (text_fn, mapping_fn) in tables.items():
+    for name, (mapping, text) in tables.items():
         path = out / f"{name}.{_ext(fmt)}"
-        if fmt == "text":
-            path.write_text(text_fn(), encoding="utf-8")
-        elif fmt == "json":
-            path.write_text(json.dumps(mapping_fn(), indent=2) + "\n", encoding="utf-8")
-        elif fmt == "csv":
-            path.write_text(mapping_to_csv(mapping_fn()), encoding="utf-8")
-        else:
-            raise ConfigError(f"unknown output format {fmt!r}")
+        path.write_text(render(fmt, mapping, text), encoding="utf-8")
         written.append(path)
 
     for name in sorted(dataset.series):
-        series = dataset.series[name]
         path = plots / f"{_safe(name)}.csv"
-        rows = ["year,revenue_real_musd"]
-        rows += [f"{year},{value!r}" for year, value in series.points.items()]
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        path.write_text(series_to_csv(dataset.series[name], "revenue_real_musd"), encoding="utf-8")
         written.append(path)
     return written
+
+
+def series_to_csv(series: RevenueSeries, column: str) -> str:
+    """``year,<column>`` CSV of a series, values at full precision."""
+    rows = [f"year,{column}"] + [f"{year},{value!r}" for year, value in series.points.items()]
+    return "\n".join(rows) + "\n"
 
 
 def _ext(fmt: str) -> str:
@@ -448,6 +461,17 @@ def _ext(fmt: str) -> str:
 
 def _safe(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+
+
+def render(fmt: str, mapping: dict, text: str) -> str:
+    """One result in the requested output format: its mapping or its text."""
+    if fmt == "json":
+        return json.dumps(mapping, indent=2) + "\n"
+    if fmt == "csv":
+        return mapping_to_csv(mapping)
+    if fmt == "text":
+        return text
+    raise ConfigError(f"unknown output format {fmt!r}")
 
 
 def mapping_to_csv(mapping: dict) -> str:

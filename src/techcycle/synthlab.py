@@ -25,6 +25,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MAX_YEARS = 10_000
+_SCENARIO_KEYS = {"k1", "a1", "b1", "k2", "a2", "b2", "year_start", "year_end", "noise_rel", "seed"}
 
 
 def _splitmix64(index: int, seed: int) -> int:
@@ -155,8 +156,12 @@ def scenario_from_mapping(values: dict[str, str]) -> SyntheticScenario:
 
     Expected keys: k1, a1, b1 (established curve), k2, a2, b2 (disruptive
     curve), year_start, year_end, and optional noise_rel (default 0) and
-    seed (default 0).
+    seed (default 0).  Any other key is an error.
     """
+    unknown = sorted(set(values) - _SCENARIO_KEYS)
+    if unknown:
+        raise ValidationError(f"scenario config has unknown key {unknown[0]!r}")
+
     def need(key: str) -> str:
         if key not in values:
             raise ValidationError(f"scenario config missing key {key!r}")

@@ -74,6 +74,28 @@ class TestValidate:
         assert bom == plain
         assert bom[0] == 0
 
+    @pytest.mark.parametrize("name, argv", [
+        ("riaa_revenue.csv", ["validate", "--data"]),
+        ("cpi.csv", ["validate", "--cpi"]),
+        ("reference.cfg", ["cycles", "--config"]),
+        ("scenarios/dual_logistic_demo.cfg", ["simulate", "--scenario"]),
+    ])
+    def test_non_utf8_input_exits_2(self, data_dir, tmp_path, capsys, name, argv):
+        text = (data_dir / name).read_bytes()
+        path = tmp_path / "input"
+        path.write_bytes(text[:40] + b"\xff" + text[40:])
+        code, _, err = run_cli(*argv, str(path), capsys=capsys)
+        assert (code, err) == (2, f"error: {path}: byte 40 (0xff) is not UTF-8\n")
+
+    @pytest.mark.parametrize("flag", ["--data", "--cpi"])
+    def test_oversized_csv_field_exits_2(self, data_dir, tmp_path, capsys, flag):
+        name = "riaa_revenue.csv" if flag == "--data" else "cpi.csv"
+        path = tmp_path / name
+        path.write_text((data_dir / name).read_text() + "2000," + "9" * 200_000 + "\n")
+        code, _, err = run_cli("validate", flag, str(path), capsys=capsys)
+        assert code == 2
+        assert "field larger than field limit" in err and err.count("\n") == 1
+
 
 class TestFit:
     def test_reference_window_acceleration(self, capsys):
@@ -136,6 +158,42 @@ class TestCrossover:
                                capsys=capsys)
         assert code == 0
         assert "crossover year: 2015" in out
+
+    def test_json_equals_report_table3_row(self, reference, tmp_path, capsys):
+        assert run_cli("report", "--out", str(tmp_path), "--format", "json",
+                       capsys=capsys)[0] == 0
+        rows = json.loads((tmp_path / "table3.json").read_text())["rows"]
+        assert len(rows) == len(reference.table3_pairs) == 6
+        for row in rows:
+            code, out, _ = run_cli("crossover", "--old", row["established"],
+                                   "--new", row["disruptive"], "--format", "json",
+                                   capsys=capsys)
+            assert code == 0
+            assert json.loads(out) == row
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("vinyl", "8-track", "boundary crossover"),
+        ("cd", "download+streaming", "already counted for cd"),
+        ("download", "streaming", "download still at 24.83% of peak"),
+    ])
+    def test_omitted_dp_prints_its_reason(self, capsys, old, new, reason):
+        code, out, _ = run_cli("crossover", "--old", old, "--new", new, capsys=capsys)
+        assert code == 0
+        assert f"disruption period: not counted ({reason}" in out
+
+    def test_config_sets_the_dp_rule(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "r.cfg"
+        path.write_text((data_dir / "reference.cfg").read_text().replace(
+            "dp_residual_max = 0.10", "dp_residual_max = 0.30"))
+        code, out, _ = run_cli("crossover", "--old", "download", "--new", "streaming",
+                               "--config", str(path), capsys=capsys)
+        assert code == 0
+        assert "disruption period: 7 years (peak 2012, end 2019*)" in out
+
+    def test_end_threshold_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crossover", "--old", "cd", "--new", "download", "--end-threshold", "0.1"])
+        assert exc.value.code == 2
 
     def test_no_crossover_is_benign(self, tiny_dataset, capsys):
         code, out, _ = run_cli(

@@ -30,6 +30,13 @@ class TestKvFile:
             read_kv_file(path)
 
 
+    def test_non_utf8_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_bytes(b"a = 1\nb = \xe9\n")
+        with pytest.raises(ConfigError, match=r"x\.cfg: byte 10 \(0xe9\) is not UTF-8"):
+            read_kv_file(path)
+
+
 class TestGroups:
     def test_bundled_groups(self, data_dir):
         groups = load_groups(data_dir / "groups.cfg")
@@ -80,7 +87,6 @@ class TestWindowSpec:
 class TestReferenceConfig:
     def test_bundled_reference(self, data_dir):
         ref = load_reference(data_dir / "reference.cfg")
-        assert ref.base_year == 2018
         assert ref.table1_window == (1984, 1990)
         assert ref.table2_window == (2004, 2018)
         assert ref.a_overrides["vinyl"] == 1930
@@ -88,11 +94,29 @@ class TestReferenceConfig:
 
     def test_defaults_for_missing_keys(self, tmp_path):
         path = tmp_path / "r.cfg"
-        path.write_text("base_year = 2018\n")
+        path.write_text("table1_old = cassette\n")
         ref = load_reference(path)
         assert ref.end_threshold_rel == 0.01
         assert ref.table1_window is None
         assert ref.table3_pairs == ()
+
+    @pytest.mark.parametrize("line", ["table1_windw = 1984:1990", "base_year = 2018"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"table1_old = cassette\n{line}\n")
+        with pytest.raises(ConfigError, match=f"unknown key {line.split()[0]!r}"):
+            load_reference(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("end_threshold_rel = often", "end_threshold_rel: could not convert"),
+        ("a_override.cd = soon", "a_override.cd: invalid literal"),
+        ("table3_pairs = cd", "table3_pairs: pair 'cd' must be 'established:disruptive'"),
+    ])
+    def test_malformed_value_names_the_key(self, tmp_path, line, message):
+        path = tmp_path / "r.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=message):
+            load_reference(path)
 
 
 class TestDataDirEnv:

@@ -141,6 +141,12 @@ class TestScenarioConfig:
                                    "k2": "1", "a2": "0",
                                    "year_start": "0", "year_end": "10"})
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValidationError, match="unknown key 'noise'"):
+            scenario_from_mapping({"k1": "1", "a1": "0", "b1": "1",
+                                   "k2": "1", "a2": "0", "b2": "1",
+                                   "year_start": "0", "year_end": "10", "noise": "0.05"})
+
     def test_bundled_demo_scenario(self, data_dir):
         from techcycle.config import read_kv_file
 
