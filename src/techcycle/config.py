@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, TechCycleError, ValidationError
 from .market_data import CpiTable, RevenueRecord, TechnologyGroup, parse_revenue_table
 
 __all__ = [
@@ -110,7 +110,11 @@ def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
-    return parse_revenue_table(_read_text(path))
+    text = _read_text(path)
+    try:
+        return parse_revenue_table(text)
+    except TechCycleError as exc:  # parse, duplicate-row and value errors alike
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_window_spec(spec: str) -> tuple[int, int] | None:
@@ -194,7 +198,10 @@ def load_reference(path: str | Path) -> ReferenceConfig:
             target[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
-    return ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
+    ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
+    if not 0.0 <= ref.dp_residual_max <= 1.0:  # also false for nan
+        raise ConfigError(f"{path}: dp_residual_max: {ref.dp_residual_max} is not in [0, 1]")
+    return ref
 
 
 def default_data_dir() -> Path:

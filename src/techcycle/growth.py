@@ -154,8 +154,55 @@ def log_odds(p: LogisticParams, t: float) -> float:
 
 # fit_logistic's search of u = log((k - max) / max): from k = max * (1 + 1e-6) to k = 5 * max
 _U_LO, _U_HI = math.log(1e-6), math.log(4.0)
-_SCAN_POINTS = 48
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN_POINTS = 8
+_U_TOL = 1e-11  # the search's u-resolution
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, as a share of the larger side
+
+
+def _brent_min(f, lo: float, hi: float, x: float, fx: float) -> None:
+    """Minimise ``f`` on ``[lo, hi]`` from the point ``x``, where ``f(x) = fx``.
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5): each step goes to the vertex of the parabola
+    through the three best points so far, or, where that vertex falls
+    outside the bracket or the steps stop shrinking, a golden-section step
+    into the larger side.  No two evaluations are closer than ``_U_TOL``;
+    the search stops once the bracket lies within ``2 * _U_TOL`` of the
+    best point.  Nothing is returned: ``f`` records what it evaluates.
+    """
+    tol = _U_TOL
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while max(x - lo, hi - x) > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                e, d, golden = d, p / q, False
+                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (lo if x >= mid else hi) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (lo, u) if u >= x else (u, hi)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def fit_logistic(series: RevenueSeries) -> LogisticFit:
@@ -166,9 +213,9 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
     and b in closed form and leaves the level-space squared error SSE(k) a
     function of k alone.  That profile is minimised over ``k`` in
     ``(max, 5 * max]``, searched as ``u = log((k - max) / max)``: a scan of
-    48 evenly spaced u values from ``k = max * (1 + 1e-6)`` to
-    ``k = 5 * max``, then a golden-section search of the bracket around the
-    best scan point down to ``|du| <= 1e-9``.  The lowest-SSE candidate
+    8 evenly spaced u values from ``k = max * (1 + 1e-6)`` to
+    ``k = 5 * max``, then Brent's method on the bracket around the best
+    scan point down to a u-resolution of 1e-11.  The lowest-SSE candidate
     evaluated wins.  Deterministic throughout.
     """
     points = [(year, value) for year, value in series.points.items() if value > 0.0]
@@ -206,18 +253,7 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
     scan = [_U_LO + (_U_HI - _U_LO) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
     sses = [profile(u) for u in scan]
     i = sses.index(min(sses))
-    lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, _SCAN_POINTS - 1)]
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = profile(c), profile(d)
-    while hi - lo > 1e-9:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = profile(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = profile(d)
+    _brent_min(profile, scan[max(i - 1, 0)], scan[min(i + 1, _SCAN_POINTS - 1)], scan[i], sses[i])
     sse, k, a, b = min(evaluated, key=lambda candidate: candidate[0])
     return LogisticFit(
         k=k * vmax,
@@ -227,6 +263,8 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
         n_points=n,
         degenerate=not (b > 1e-12),
     )
+
+
 
 
 def odds_relation(p1: LogisticParams, p2: LogisticParams) -> OddsRelation:

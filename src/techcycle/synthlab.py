@@ -83,16 +83,22 @@ def generate_scenario(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSerie
     are ``level * (1 + noise_rel * eps)`` with eps uniform in [-1, 1),
     clamped at zero.
     """
-    first, last = s.years
+    return _realize(s, *s.years)
+
+
+def _realize(s: SyntheticScenario, first: int, last: int) -> tuple[RevenueSeries, RevenueSeries]:
+    """Years ``first..last`` of ``generate_scenario``'s series, bit for bit:
+    draw indices count from the scenario's first year, not from ``first``."""
+    start = s.years[0]
     series = []
     for offset, params in ((0, s.p_old), (1, s.p_new)):
         points = {}
         for t in range(first, last + 1):
-            eps = _uniform_pm1(2 * (t - first) + offset, s.seed)
+            eps = _uniform_pm1(2 * (t - start) + offset, s.seed)
             value = logistic_value(params, float(t)) * (1.0 + s.noise_rel * eps)
             points[t] = max(value, 0.0)
         name = "established" if offset == 0 else "disruptive"
-        series.append(RevenueSeries(technology=name, base_year=first, points=points))
+        series.append(RevenueSeries(technology=name, base_year=start, points=points))
     return series[0], series[1]
 
 
@@ -106,8 +112,8 @@ def recovery_experiment(
     Without an explicit window, the fit is restricted to the early phase:
     years where both true curves sit below ``early_fraction`` of their
     equilibrium levels, which is where the power-law approximation holds.
+    Only the scenario years inside the window are realized.
     """
-    old_series, new_series = generate_scenario(s)
     if window is None:
         window = _early_window(s, early_fraction)
         if window is None or window[1] - window[0] < 2:
@@ -116,6 +122,8 @@ def recovery_experiment(
                 "lower the growth rates, start earlier, or raise the fraction"
             )
     try:
+        # a window reaching past the scenario's years leaves those years absent
+        old_series, new_series = _realize(s, max(window[0], s.years[0]), min(window[1], s.years[1]))
         fit = fit_substitution(new_series, old_series, window=window)
     except Exception as exc:
         raise WindowError(f"window {window} not fittable: {exc}") from exc

@@ -96,6 +96,13 @@ class TestValidate:
         assert code == 2
         assert "field larger than field limit" in err and err.count("\n") == 1
 
+    def test_revenue_csv_error_starts_with_the_path(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "riaa_revenue.csv"
+        path.write_text((data_dir / "riaa_revenue.csv").read_text() + "2000,CD,-,,\n")
+        code, _, err = run_cli("validate", "--data", str(path), capsys=capsys)
+        assert code == 2
+        assert err.startswith(f"error: {path}: row ") and err.count("\n") == 1
+
 
 class TestFit:
     def test_reference_window_acceleration(self, capsys):
@@ -190,6 +197,15 @@ class TestCrossover:
         assert code == 0
         assert "disruption period: 7 years (peak 2012, end 2019*)" in out
 
+    def test_nan_dp_residual_max_exits_2(self, data_dir, tmp_path, capsys):
+        path = tmp_path / "r.cfg"
+        path.write_text((data_dir / "reference.cfg").read_text().replace(
+            "dp_residual_max = 0.10", "dp_residual_max = nan"))
+        code, out, err = run_cli("crossover", "--old", "download", "--new", "streaming",
+                                 "--config", str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: dp_residual_max: nan is not in [0, 1]\n"
+
     def test_end_threshold_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["crossover", "--old", "cd", "--new", "download", "--end-threshold", "0.1"])
@@ -281,6 +297,15 @@ class TestSimulate:
             results.append((out_dir / "disruptive.csv").read_bytes())
         assert results[0] != results[1]
 
+    @pytest.mark.parametrize("window", ["5000:5010", "35:45"])
+    def test_window_outside_the_scenario_exits_3(self, data_dir, capsys, window):
+        code, out, err = run_cli(
+            "simulate", "--scenario", str(data_dir / "scenarios" / "dual_logistic_demo.cfg"),
+            "--window", window, capsys=capsys,
+        )
+        assert (code, out) == (3, "")
+        assert "not fittable" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["7", str((1 << 64) + 7)])
     def test_seed_flag_matches_seed_in_file(self, data_dir, tmp_path, capsys, flag):
         demo_path = data_dir / "scenarios" / "dual_logistic_demo.cfg"
@@ -371,10 +396,10 @@ class TestReport:
 
 
 class TestConsoleScript:
-    def test_entry_point_runs(self):
+    def test_entry_point_runs(self, checkout_env):
         result = subprocess.run(
             [sys.executable, "-m", "techcycle.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env,
         )
         # argparse --help exits 0 and prints the subcommands
         assert result.returncode == 0

@@ -5,10 +5,11 @@ from techcycle.config import (
     load_groups,
     load_cpi_csv,
     load_reference,
+    load_revenue_csv,
     parse_window_spec,
     read_kv_file,
 )
-from techcycle.errors import ConfigError
+from techcycle.errors import ConfigError, DuplicateRecordError, TableParseError
 
 
 class TestKvFile:
@@ -117,6 +118,35 @@ class TestReferenceConfig:
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=message):
             load_reference(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
+    def test_dp_residual_max_outside_unit_interval_rejected(self, tmp_path, value):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"dp_residual_max = {value}\n")
+        with pytest.raises(ConfigError, match=r"r\.cfg: dp_residual_max: .* is not in \[0, 1\]"):
+            load_reference(path)
+
+    @pytest.mark.parametrize("value", ["0", "1", "0.3"])
+    def test_dp_residual_max_bounds_accepted(self, tmp_path, value):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"dp_residual_max = {value}\n")
+        assert load_reference(path).dp_residual_max == float(value)
+
+
+class TestRevenueCsv:
+    HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
+
+    @pytest.mark.parametrize("body, error, message", [
+        ("2000,CD,oops,,\n", TableParseError, "row 1, column revenue_nominal_musd"),
+        ("2000,CD,1.0\n", TableParseError, "row 1: expected 5 cells"),
+        ("2000,CD,1.0,,\n2000,CD,2.0,,\n", DuplicateRecordError, "row 2: duplicate entry"),
+    ])
+    def test_errors_start_with_the_path(self, tmp_path, body, error, message):
+        path = tmp_path / "revenue.csv"
+        path.write_text(self.HEADER + body)
+        with pytest.raises(error) as exc:
+            load_revenue_csv(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
 
 class TestDataDirEnv:

@@ -1,10 +1,12 @@
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techcycle.cycle import detect_events
 from techcycle.errors import DomainError, InsufficientDataError, ValidationError
 from techcycle.growth import (
     LogisticParams,
@@ -19,6 +21,7 @@ from techcycle.growth import (
     odds_relation,
 )
 from techcycle.market_data import RevenueSeries
+from techcycle.synthlab import SyntheticScenario, generate_scenario
 
 
 def series(points, name="x"):
@@ -35,6 +38,70 @@ params_strategy = st.builds(
     a=st.floats(-20.0, 20.0),
     b=st.floats(0.05, 3.0),
 )
+
+
+def golden_section_fit(s):
+    """fit_logistic's former search, as (k, sse, degenerate): the same profile
+    SSE, scanned at 48 evenly spaced u values, then a golden-section search
+    of the bracket around the best scan point down to |du| <= 1e-9."""
+    points = [(t, v) for t, v in s.points.items() if v > 0.0]
+    n, vmax = len(points), max(v for _, v in points)
+    scaled = [v / vmax for _, v in points]
+    t_mean = math.fsum(t for t, _ in points) / n
+    centred = [t - t_mean for t, _ in points]
+    sxx = math.fsum(x * x for x in centred)
+    evaluated = []
+
+    def profile(u):
+        k = min(1.0 + math.exp(u), 5.0)
+        ys = [math.log((k - w) / w) for w in scaled]
+        y_mean = math.fsum(ys) / n
+        slope = math.fsum(x * y for x, y in zip(centred, ys)) / sxx
+        residuals = [
+            w - k / (1.0 + math.exp(z)) if (z := y_mean + slope * x) < 700.0 else w
+            for x, w in zip(centred, scaled)
+        ]
+        sse = math.fsum(r * r for r in residuals)
+        evaluated.append((sse, k, -slope))
+        return sse
+
+    u_lo, u_hi, inv_phi = math.log(1e-6), math.log(4.0), (math.sqrt(5.0) - 1.0) / 2.0
+    scan = [u_lo + (u_hi - u_lo) * i / 47 for i in range(48)]
+    sses = [profile(u) for u in scan]
+    i = sses.index(min(sses))
+    lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, 47)]
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = profile(c), profile(d)
+    while hi - lo > 1e-9:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = profile(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = profile(d)
+    sse, k, b = min(evaluated, key=lambda candidate: candidate[0])
+    return k * vmax, sse * vmax * vmax, not (b > 1e-12)
+
+
+def noisy_scenario_series(count, seed=2024):
+    """Both series of ``count`` seeded noisy dual-logistic scenarios: 20-120
+    years, noise 1-10%, rate ratio 0.5-4, each curve at 10% of capacity
+    25-40% of the way through."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        length = rng.randint(20, 120)
+        b_old = 12.0 / length * rng.uniform(0.8, 1.25)
+        params = []
+        for b in (b_old, b_old * 0.5 * 8.0 ** rng.random()):
+            inflection = length * rng.uniform(0.25, 0.4) + math.log(9.0) / b
+            params.append(LogisticParams(k=rng.uniform(500.0, 5000.0), a=b * inflection, b=b))
+        scenario = SyntheticScenario(p_old=params[0], p_new=params[1], years=(0, length - 1),
+                                     noise_rel=rng.uniform(0.01, 0.1), seed=index)
+        out.extend(generate_scenario(scenario))
+    return out
 
 
 class TestLogisticValue:
@@ -165,6 +232,20 @@ class TestFitLogistic:
         )
         fit = fit_logistic(series(points, name))
         assert fit.sse <= (1.0 + 1e-9) * grid_min
+
+    def test_matches_golden_section_search(self, dataset):
+        corpus = noisy_scenario_series(50)
+        for whole in dataset.series.values():
+            peak = detect_events(whole).m_year or whole.last_year
+            up = {t: v for t, v in whole.points.items() if t <= peak}
+            corpus += [whole, series(up, whole.technology)]
+        assert len(corpus) == 112
+        for s in corpus:
+            ref_k, ref_sse, ref_degenerate = golden_section_fit(s)
+            fit = fit_logistic(s)
+            assert fit.degenerate == ref_degenerate
+            assert abs(fit.k - ref_k) <= 1e-6 * ref_k
+            assert fit.sse <= ref_sse * (1.0 + 1e-9)
 
 
 class TestOddsRelation:

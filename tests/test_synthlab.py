@@ -1,7 +1,8 @@
 import pytest
 
 from techcycle.errors import ValidationError, WindowError
-from techcycle.growth import LogisticParams, logistic_value
+from techcycle.growth import LogisticParams, fit_substitution, logistic_value
+from techcycle.market_data import RevenueSeries
 from techcycle.synthlab import (
     SyntheticScenario,
     generate_scenario,
@@ -122,6 +123,29 @@ class TestRecoveryExperiment:
     def test_determinism_of_reports(self):
         s = scenario(noise=0.3, seed=99)
         assert recovery_experiment(s) == recovery_experiment(s)
+
+    @pytest.mark.parametrize("seed", [1, 7, 99])
+    @pytest.mark.parametrize("fraction, window", [
+        (0.05, None), (0.1, None), (0.2, None), (0.3, None), (0.1, (2007, 2031)),
+    ])
+    def test_equals_fit_of_window_cut_from_full_series(self, seed, fraction, window):
+        s = scenario(noise=0.08, seed=seed, years=(2000, 2040), t1=2025.0, t2=2028.0)
+        report = recovery_experiment(s, early_fraction=fraction, window=window)
+        first, last = report.window_used
+        assert window in (None, (first, last))
+        old, new = (
+            RevenueSeries(full.technology, full.base_year,
+                          {t: v for t, v in full.points.items() if first <= t <= last})
+            for full in generate_scenario(s)
+        )
+        fit = fit_substitution(new, old, window=(first, last))
+        assert report.b_fitted == fit.b_exponent
+        assert report.abs_gap == abs(fit.b_exponent - report.b_theoretical)
+
+    @pytest.mark.parametrize("window", [(5000, 5010), (35, 45), (-5, 5)])
+    def test_window_outside_the_years_not_fittable(self, window):
+        with pytest.raises(WindowError, match="not fittable"):
+            recovery_experiment(scenario(noise=0.1), window=window)
 
 
 class TestScenarioConfig:
