@@ -4,97 +4,50 @@ Fits power-law substitution models between competing technologies'
 revenue series, detects lifecycle events (begin, peak, end), and measures
 cycle asymmetry; ships a reconstructed recorded-music revenue dataset and
 a synthetic-scenario lab for validating the estimator.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so importing one submodule does not load the others.
 """
 
-from .cycle import (
-    CrossoverResult,
-    CycleAggregate,
-    CycleEvents,
-    CycleSummary,
-    aggregate_cycles,
-    crossover_year,
-    cycle_metrics,
-    detect_events,
-    disruption_period,
-)
-from .growth import (
-    LogisticFit,
-    LogisticParams,
-    OddsRelation,
-    Regime,
-    SubstitutionFit,
-    allometric_coefficients,
-    classify_regime,
-    fit_logistic,
-    fit_substitution,
-    implied_exponent,
-    log_odds,
-    logistic_value,
-    odds_relation,
-)
-from .market_data import (
-    CpiTable,
-    RevenueRecord,
-    RevenueSeries,
-    TechnologyGroup,
-    adjust_inflation,
-    aggregate_group,
-    merge_series,
-    parse_revenue_table,
-    positive_overlap_window,
-    serialize_revenue_table,
-)
-from .regress import OlsFit, ols_simple, significance_stars, t_p_value
-from .synthlab import (
-    RecoveryReport,
-    SyntheticScenario,
-    generate_scenario,
-    recovery_experiment,
-    scenario_from_mapping,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CpiTable",
-    "CrossoverResult",
-    "CycleAggregate",
-    "CycleEvents",
-    "CycleSummary",
-    "LogisticFit",
-    "LogisticParams",
-    "OddsRelation",
-    "OlsFit",
-    "RecoveryReport",
-    "Regime",
-    "RevenueRecord",
-    "RevenueSeries",
-    "SubstitutionFit",
-    "SyntheticScenario",
-    "TechnologyGroup",
-    "adjust_inflation",
-    "aggregate_cycles",
-    "aggregate_group",
-    "allometric_coefficients",
-    "classify_regime",
-    "crossover_year",
-    "cycle_metrics",
-    "detect_events",
-    "disruption_period",
-    "fit_logistic",
-    "fit_substitution",
-    "generate_scenario",
-    "implied_exponent",
-    "log_odds",
-    "logistic_value",
-    "merge_series",
-    "odds_relation",
-    "ols_simple",
-    "parse_revenue_table",
-    "positive_overlap_window",
-    "recovery_experiment",
-    "scenario_from_mapping",
-    "serialize_revenue_table",
-    "significance_stars",
-    "t_p_value",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "cycle": (
+        "CrossoverResult", "CycleAggregate", "CycleEvents", "CycleSummary",
+        "aggregate_cycles", "crossover_year", "cycle_metrics", "detect_events",
+        "disruption_period",
+    ),
+    "growth": (
+        "LogisticFit", "LogisticParams", "OddsRelation", "Regime", "SubstitutionFit",
+        "allometric_coefficients", "classify_regime", "fit_logistic", "fit_substitution",
+        "implied_exponent", "log_odds", "logistic_value", "odds_relation",
+    ),
+    "market_data": (
+        "CpiTable", "RevenueRecord", "RevenueSeries", "TechnologyGroup",
+        "adjust_inflation", "aggregate_group", "merge_series", "parse_revenue_table",
+        "positive_overlap_window",
+    ),
+    "regress": ("OlsFit", "ols_simple", "significance_stars", "t_p_value"),
+    "synthlab": (
+        "RecoveryReport", "SyntheticScenario", "generate_scenario",
+        "recovery_experiment", "scenario_from_mapping",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

@@ -22,7 +22,7 @@ from .config import default_data_dir, load_reference, parse_window_spec, read_kv
 # Not called here (Tables 3 and 4 are computed in report.py), but
 # perfbench/tracing.py looks these names up in this module.
 from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
-from .errors import InsufficientDataError, TechCycleError, WindowError
+from .errors import ConfigError, InsufficientDataError, TechCycleError, WindowError
 from .growth import fit_substitution
 from .synthlab import generate_scenario, recovery_experiment, scenario_from_mapping
 
@@ -160,15 +160,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _pair(args, dataset):
+    """The ``--old`` and ``--new`` series; a technology cannot replace itself."""
+    old, new = dataset.series_for(args.old), dataset.series_for(args.new)
+    if old.technology == new.technology:
+        raise ConfigError(f"--old and --new both name {old.technology!r}")
+    return old, new
+
+
 def cmd_fit(args) -> int:
     dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
     window = parse_window_spec(args.window)
-    fit = fit_substitution(
-        dataset.series_for(args.new),
-        dataset.series_for(args.old),
-        window=window,
-        tolerance=args.tolerance,
-    )
+    old, new = _pair(args, dataset)
+    fit = fit_substitution(new, old, window=window, tolerance=args.tolerance)
     label = f"{args.new} vs {args.old}"
     _emit(args, report_mod.fit_to_mapping(fit, label), report_mod.render_fit_text(fit, label))
     return EXIT_OK
@@ -185,7 +189,9 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    row = report_mod.table3(*_load_inputs(args), last=(args.old, args.new))[-1]
+    dataset, ref = _load_inputs(args)
+    _pair(args, dataset)
+    row = report_mod.table3(dataset, ref, last=(args.old, args.new))[-1]
     cross = row.crossover
     if cross is None:
         text = "no crossover in data\n"

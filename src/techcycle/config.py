@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from pathlib import Path
 from types import MappingProxyType
@@ -167,6 +168,8 @@ def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         disruptors = tuple(part.strip() for part in new.split("+") if part.strip())
         if not old.strip() or not disruptors:
             raise ValueError(f"pair {chunk!r} is incomplete")
+        if disruptors == (old.strip(),):
+            raise ValueError(f"pair {chunk!r} pairs a technology with itself")
         pairs.append((old.strip(), disruptors))
     return tuple(pairs)
 
@@ -199,8 +202,13 @@ def load_reference(path: str | Path) -> ReferenceConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from None
     ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
-    if not 0.0 <= ref.dp_residual_max <= 1.0:  # also false for nan
-        raise ConfigError(f"{path}: dp_residual_max: {ref.dp_residual_max} is not in [0, 1]")
+    for key, ok, domain in (  # each test is also false for nan
+        ("end_threshold_rel", 0.0 < ref.end_threshold_rel < 1.0, "(0, 1)"),
+        ("regime_tolerance", 0.0 < ref.regime_tolerance < math.inf, "(0, inf)"),
+        ("dp_residual_max", 0.0 <= ref.dp_residual_max <= 1.0, "[0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: {key}: {getattr(ref, key)} is not in {domain}")
     return ref
 
 

@@ -22,18 +22,6 @@ from .errors import (
 )
 from .market_data import RevenueSeries
 
-__all__ = [
-    "CycleEvents",
-    "CycleSummary",
-    "CycleAggregate",
-    "CrossoverResult",
-    "detect_events",
-    "cycle_metrics",
-    "disruption_period",
-    "crossover_year",
-    "aggregate_cycles",
-]
-
 
 @frozen
 class CycleEvents:

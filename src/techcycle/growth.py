@@ -19,22 +19,6 @@ from .errors import DomainError, InsufficientDataError, ValidationError
 from .market_data import RevenueSeries, positive_overlap_window
 from .regress import OlsFit, ols_simple
 
-__all__ = [
-    "LogisticParams",
-    "LogisticFit",
-    "OddsRelation",
-    "Regime",
-    "SubstitutionFit",
-    "logistic_value",
-    "log_odds",
-    "fit_logistic",
-    "odds_relation",
-    "implied_exponent",
-    "allometric_coefficients",
-    "fit_substitution",
-    "classify_regime",
-]
-
 
 @frozen
 class LogisticParams:
@@ -117,9 +101,6 @@ class Regime(enum.Enum):
     PROPORTIONAL = "Proportional"
     ACCELERATION = "Acceleration"
     NEGATIVE_COUPLING = "NegativeCoupling"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 @frozen

@@ -23,20 +23,6 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = [
-    "RevenueRecord",
-    "RevenueSeries",
-    "TechnologyGroup",
-    "CpiTable",
-    "REVENUE_HEADER",
-    "parse_revenue_table",
-    "serialize_revenue_table",
-    "adjust_inflation",
-    "aggregate_group",
-    "positive_overlap_window",
-    "merge_series",
-]
-
 REVENUE_HEADER = ("year", "format", "revenue_nominal_musd", "revenue_real_musd", "units_m")
 
 YEAR_MIN = 1900
@@ -110,13 +96,6 @@ class RevenueSeries:
 
     def value(self, year: int) -> float | None:
         return self.points.get(year)
-
-    def scaled(self, factor: float) -> "RevenueSeries":
-        return RevenueSeries(
-            technology=self.technology,
-            base_year=self.base_year,
-            points={year: value * factor for year, value in self.points.items()},
-        )
 
 
 @frozen
@@ -200,24 +179,6 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
             )
         )
     return records
-
-
-def serialize_revenue_table(records: list[RevenueRecord]) -> str:
-    """Inverse of ``parse_revenue_table``; absent values become empty cells."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REVENUE_HEADER)
-    for record in records:
-        writer.writerow(
-            [
-                record.year,
-                record.format,
-                _cell(record.revenue_nominal),
-                _cell(record.revenue_real),
-                _cell(record.units),
-            ]
-        )
-    return out.getvalue()
 
 
 def adjust_inflation(
@@ -324,8 +285,3 @@ def _parse_optional_float(cell: str, row_no: int, column: str) -> float | None:
         raise TableParseError(f"row {row_no}: {column} must be a finite number, got {cell!r}")
     return value
 
-
-def _cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, "g") if value == int(value) else repr(value)

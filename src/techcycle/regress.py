@@ -12,8 +12,6 @@ import math
 from ._record import frozen
 from .errors import DegenerateRegressorError, DomainError, InsufficientDataError
 
-__all__ = ["OlsFit", "ols_simple", "t_p_value", "significance_stars"]
-
 
 @frozen
 class OlsFit:

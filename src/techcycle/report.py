@@ -466,7 +466,9 @@ def _safe(name: str) -> str:
 def render(fmt: str, mapping: dict, text: str) -> str:
     """One result in the requested output format: its mapping or its text."""
     if fmt == "json":
-        return json.dumps(mapping, indent=2) + "\n"
+        # JSON has no inf or nan; the round trip writes each as null
+        finite = json.loads(json.dumps(mapping), parse_constant=lambda _: None)
+        return json.dumps(finite, indent=2) + "\n"
     if fmt == "csv":
         return mapping_to_csv(mapping)
     if fmt == "text":

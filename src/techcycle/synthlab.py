@@ -14,14 +14,6 @@ from .errors import ValidationError, WindowError
 from .growth import LogisticParams, fit_substitution, implied_exponent, logistic_value
 from .market_data import RevenueSeries
 
-__all__ = [
-    "SyntheticScenario",
-    "RecoveryReport",
-    "generate_scenario",
-    "recovery_experiment",
-    "scenario_from_mapping",
-]
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MAX_YEARS = 10_000
@@ -128,10 +120,8 @@ def recovery_experiment(
     except Exception as exc:
         raise WindowError(f"window {window} not fittable: {exc}") from exc
     b_theoretical = implied_exponent(s.p_old, s.p_new)
-    saturation = max(
-        max(logistic_value(p, float(t)) / p.k for p in (s.p_old, s.p_new))
-        for t in range(window[0], window[1] + 1)
-    )
+    # both curves rise with t (b > 0), so the window's last year holds the highest level
+    saturation = max(logistic_value(p, float(window[1])) / p.k for p in (s.p_old, s.p_new))
     return RecoveryReport(
         b_theoretical=b_theoretical,
         b_fitted=fit.b_exponent,

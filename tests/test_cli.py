@@ -32,6 +32,31 @@ def tiny_dataset(tmp_path):
     return tmp_path
 
 
+@pytest.fixture()
+def twin_dataset(tmp_path):
+    """Two technologies with equal revenue every year, so new = old ** 1 exactly."""
+    rows = [f"{2000 + i},{fmt},,{value!r},"
+            for i, value in enumerate([1.0, 2.0, 4.0, 8.0, 16.0, 8.0, 4.0, 2.0, 0.01])
+            for fmt in ("Old", "New")]
+    (tmp_path / "data.csv").write_text(
+        "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n"
+    )
+    (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
+    (tmp_path / "groups.cfg").write_text("old = Old\nnew = New\n")
+    (tmp_path / "reference.cfg").write_text(
+        "table1_old = old\ntable1_new = new\ntable2_old = old\ntable2_new = new\n"
+    )
+    return tmp_path
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard Infinity, -Infinity and NaN."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def data_flags(path):
     return ["--data", str(path / "data.csv"), "--cpi", str(path / "cpi.csv"),
             "--groups", str(path / "groups.cfg")]
@@ -121,13 +146,21 @@ class TestFit:
         assert code == 0
         assert "Regime: NegativeCoupling" in out
 
-    def test_self_regression_is_exact_proportional(self, capsys):
+    def test_exact_fit_is_proportional(self, twin_dataset, capsys):
         code, out, _ = run_cli(
-            "fit", "--old", "cassette", "--new", "cassette", capsys=capsys
+            "fit", *data_flags(twin_dataset), "--old", "old", "--new", "new", capsys=capsys
         )
         assert code == 0
         assert "Regime: Proportional" in out
         assert "R2 = 1.00" in out
+        assert "F = inf" in out
+
+    @pytest.mark.parametrize("command", ["fit", "crossover"])
+    @pytest.mark.parametrize("new", ["cd", " cd", "cd+"])
+    def test_self_pair_exits_2(self, capsys, command, new):
+        code, out, err = run_cli(command, "--old", "cd", "--new", new, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --old and --new both name 'cd'\n"
 
     def test_unknown_technology_lists_names(self, capsys):
         code, _, err = run_cli("fit", "--old", "betamax", "--new", "cd", capsys=capsys)
@@ -150,6 +183,53 @@ class TestFit:
         payload = json.loads(out)
         assert payload["regime"] == "NegativeCoupling"
         assert -1.45 <= payload["exponent_b"] <= -1.10
+
+
+class TestStandardJson:
+    def test_exact_fit_writes_null_for_infinite_statistics(self, twin_dataset, capsys):
+        code, out, _ = run_cli("fit", *data_flags(twin_dataset), "--old", "old", "--new", "new",
+                               "--format", "json", capsys=capsys)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["intercept_t"] is payload["exponent_t"] is payload["f_stat"] is None
+        assert (payload["exponent_b"], payload["r2"]) == (1.0, 1.0)
+
+    def test_csv_keeps_inf(self, twin_dataset, capsys):
+        code, out, _ = run_cli("fit", *data_flags(twin_dataset), "--old", "old", "--new", "new",
+                               "--format", "csv", capsys=capsys)
+        assert code == 0
+        assert "exponent_t,inf\n" in out and "f_stat,inf\n" in out
+
+    def test_report_tables_are_standard_json(self, twin_dataset, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        code, _, _ = run_cli("report", *data_flags(twin_dataset),
+                             "--config", str(twin_dataset / "reference.cfg"),
+                             "--out", str(out_dir), "--format", "json", capsys=capsys)
+        assert code == 0
+        tables = {path.stem: strict_json(path.read_text()) for path in out_dir.glob("*.json")}
+        assert sorted(tables) == ["table1", "table2", "table3", "table4"]
+        assert tables["table1"]["exponent_t"] is None
+        assert tables["table2"]["f_stat"] is None
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("cycles", "end_threshold_rel = nan", "end_threshold_rel: nan is not in (0, 1)"),
+    ("cycles", "end_threshold_rel = 1", "end_threshold_rel: 1.0 is not in (0, 1)"),
+    ("report", "regime_tolerance = -1", "regime_tolerance: -1.0 is not in (0, inf)"),
+    ("report", "regime_tolerance = inf", "regime_tolerance: inf is not in (0, inf)"),
+    ("report", "table3_pairs = cd:cd", "table3_pairs: pair 'cd:cd' pairs a technology with itself"),
+])
+def test_config_value_out_of_domain_exits_2(data_dir, tmp_path, capsys, command, line, message):
+    key = line.split()[0]
+    path = tmp_path / "r.cfg"
+    path.write_text("".join(
+        f"{line}\n" if old.startswith(f"{key} =") else f"{old}\n"
+        for old in (data_dir / "reference.cfg").read_text().splitlines()
+    ))
+    out_flag = ["--out", str(tmp_path / "out")] if command == "report" else []
+    code, out, err = run_cli(command, "--config", str(path), *out_flag, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
 
 
 class TestCrossover:

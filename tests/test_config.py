@@ -112,6 +112,8 @@ class TestReferenceConfig:
         ("end_threshold_rel = often", "end_threshold_rel: could not convert"),
         ("a_override.cd = soon", "a_override.cd: invalid literal"),
         ("table3_pairs = cd", "table3_pairs: pair 'cd' must be 'established:disruptive'"),
+        ("table3_pairs = vinyl:8-track; cd: cd ",
+         "table3_pairs: pair 'cd: cd' pairs a technology with itself"),
     ])
     def test_malformed_value_names_the_key(self, tmp_path, line, message):
         path = tmp_path / "r.cfg"
@@ -131,6 +133,34 @@ class TestReferenceConfig:
         path = tmp_path / "r.cfg"
         path.write_text(f"dp_residual_max = {value}\n")
         assert load_reference(path).dp_residual_max == float(value)
+
+
+    @pytest.mark.parametrize("key, domain", [
+        ("end_threshold_rel", r"\(0, 1\)"), ("regime_tolerance", r"\(0, inf\)"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_threshold_and_tolerance_outside_domain_rejected(self, tmp_path, key, domain, value):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"r\.cfg: {key}: .* is not in {domain}$"):
+            load_reference(path)
+
+    @pytest.mark.parametrize("value", ["1", "1.5"])
+    def test_end_threshold_rel_of_one_or_more_rejected(self, tmp_path, value):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"end_threshold_rel = {value}\n")
+        with pytest.raises(ConfigError, match=r"end_threshold_rel: .* is not in \(0, 1\)"):
+            load_reference(path)
+
+    @pytest.mark.parametrize("line", [
+        "end_threshold_rel = 1e-300", "end_threshold_rel = 0.999",
+        "regime_tolerance = 1e-300", "regime_tolerance = 1e300",
+    ])
+    def test_threshold_and_tolerance_inside_domain_accepted(self, tmp_path, line):
+        path = tmp_path / "r.cfg"
+        path.write_text(line + "\n")
+        key, _, value = line.partition(" = ")
+        assert getattr(load_reference(path), key) == float(value)
 
 
 class TestRevenueCsv:

@@ -28,6 +28,11 @@ def series(points, name="x"):
     return RevenueSeries(technology=name, base_year=2018, points=points)
 
 
+def rescaled(s, factor):
+    return RevenueSeries(s.technology, s.base_year,
+                         {year: value * factor for year, value in s.points.items()})
+
+
 def logistic_series(params, years, name="x"):
     return series({t: logistic_value(params, float(t)) for t in years}, name)
 
@@ -177,7 +182,7 @@ class TestFitLogistic:
             for t in range(0, 18)
         })
         base = fit_logistic(noisy)
-        scaled = fit_logistic(noisy.scaled(scale))
+        scaled = fit_logistic(rescaled(noisy, scale))
         assert scaled.k == pytest.approx(base.k * scale, rel=1e-6)
         assert scaled.a == pytest.approx(base.a, rel=1e-6)
         assert scaled.b == pytest.approx(base.b, rel=1e-6)
@@ -322,7 +327,7 @@ class TestFitSubstitution:
         old = series({t: 10.0 * 1.3 ** (t - 2000) for t in range(2000, 2010)}, "old")
         new = series({t: 2.0 * old.value(t) ** 1.5 for t in range(2000, 2010)}, "new")
         fit = fit_substitution(new, old)
-        scaled = fit_substitution(new.scaled(c_new), old.scaled(c_old))
+        scaled = fit_substitution(rescaled(new, c_new), rescaled(old, c_old))
         assert scaled.b_exponent == pytest.approx(fit.b_exponent, abs=1e-9)
         assert scaled.regime is fit.regime
         expected_shift = math.log(c_new) - fit.b_exponent * math.log(c_old)

@@ -20,10 +20,21 @@ from techcycle.market_data import (
     aggregate_group,
     parse_revenue_table,
     positive_overlap_window,
-    serialize_revenue_table,
 )
 
 HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m"
+
+
+def csv_text(records):
+    """Revenue CSV text of ``records``, with absent values as empty cells."""
+    def cell(value):
+        return "" if value is None else repr(value)
+
+    rows = [
+        f"{r.year},{r.format},{cell(r.revenue_nominal)},{cell(r.revenue_real)},{cell(r.units)}"
+        for r in records
+    ]
+    return "\n".join([HEADER, *rows]) + "\n"
 
 
 def make_series(points, technology="x", base_year=2018):
@@ -54,8 +65,13 @@ class TestParse:
             "1980,Vinyl Single,,331.0,\n"
             "1981,8-Track,309.0,,\n"
         )
-        records = parse_revenue_table(text)
-        assert parse_revenue_table(serialize_revenue_table(records)) == records
+        records = [
+            RevenueRecord(1979, "Vinyl Single", 102.2, 353.6, 212.0),
+            RevenueRecord(1980, "Vinyl Single", None, 331.0, None),
+            RevenueRecord(1981, "8-Track", 309.0, None, None),
+        ]
+        assert csv_text(records) == text
+        assert parse_revenue_table(text) == records
 
     def test_malformed_number_names_row_and_column(self):
         with pytest.raises(TableParseError, match=r"row 2, column revenue_nominal_musd"):
@@ -96,7 +112,7 @@ class TestParse:
                               revenue_real=value * 1.5,
                               units=value / 10 if with_units else None)
             )
-        assert parse_revenue_table(serialize_revenue_table(records)) == records
+        assert parse_revenue_table(csv_text(records)) == records
 
 
 class TestRecordValidation:

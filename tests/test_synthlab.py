@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from techcycle.errors import ValidationError, WindowError
@@ -18,6 +21,14 @@ def scenario(b1=0.4, b2=0.8, noise=0.0, seed=42, years=(0, 40), t1=25.0, t2=28.0
         years=years,
         noise_rel=noise,
         seed=seed,
+    )
+
+
+def scanned_saturation(s, window):
+    """Reference: the highest level/capacity of either curve in any year of the window."""
+    return max(
+        max(logistic_value(p, float(t)) / p.k for p in (s.p_old, s.p_new))
+        for t in range(window[0], window[1] + 1)
     )
 
 
@@ -146,6 +157,39 @@ class TestRecoveryExperiment:
     def test_window_outside_the_years_not_fittable(self, window):
         with pytest.raises(WindowError, match="not fittable"):
             recovery_experiment(scenario(noise=0.1), window=window)
+
+
+class TestSaturationLevel:
+    @pytest.mark.parametrize("seed", [1, 7, 71])
+    def test_equals_scan_over_the_window(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(100):
+            first, span = rng.randint(-50, 2000), rng.randint(20, 120)
+            b1 = rng.uniform(0.05, 0.8)
+            b2 = b1 * rng.uniform(0.5, 4.0)
+            s = SyntheticScenario(
+                p_old=LogisticParams(k=rng.uniform(1.0, 1e4), b=b1,
+                                     a=b1 * (first + rng.uniform(0.2, 0.8) * span)),
+                p_new=LogisticParams(k=rng.uniform(1.0, 1e4), b=b2,
+                                     a=b2 * (first + rng.uniform(0.2, 0.8) * span)),
+                years=(first, first + span),
+                noise_rel=rng.uniform(0.0, 0.1),
+                seed=rng.getrandbits(64),
+            )
+            inflections = sorted((s.p_old.inflection, s.p_new.inflection))
+            runs = [{"early_fraction": f} for f in (0.05, 0.1, 0.5, 0.9)] + [
+                {"window": s.years},  # both inflections inside
+                {"window": (math.floor(inflections[0]) - 2, math.ceil(inflections[1]) + 2)},
+            ]
+            for kwargs in runs:
+                try:
+                    report = recovery_experiment(s, **kwargs)
+                except WindowError:
+                    continue
+                assert report.saturation_level == scanned_saturation(s, report.window_used)
+                checked += 1
+        assert checked >= 400
 
 
 class TestScenarioConfig:
