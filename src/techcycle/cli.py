@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .config import default_data_dir, load_reference, parse_window_spec, read_kv_file
+from .config import (default_data_dir, load_reference, parse_window_spec, read_kv_file,
+                     shared_technology)
 
 # Not called here (Tables 3 and 4 are computed in report.py), but
 # perfbench/tracing.py looks these names up in this module.
 from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
-from .errors import ConfigError, InsufficientDataError, TechCycleError, WindowError
+from .errors import InsufficientDataError, TechCycleError
 from .growth import fit_substitution
 from .synthlab import generate_scenario, recovery_experiment, scenario_from_mapping
 
@@ -45,12 +46,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (InsufficientDataError, WindowError) as exc:
+    except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
     except (TechCycleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -163,8 +161,8 @@ def cmd_validate(args) -> int:
 def _pair(args, dataset):
     """The ``--old`` and ``--new`` series; a technology cannot replace itself."""
     old, new = dataset.series_for(args.old), dataset.series_for(args.new)
-    if old.technology == new.technology:
-        raise ConfigError(f"--old and --new both name {old.technology!r}")
+    if shared := shared_technology(args.old, args.new):
+        raise TechCycleError(f"--old and --new both name {shared!r}")
     return old, new
 
 

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import ConfigError, TechCycleError, ValidationError
+from .errors import TechCycleError
 from .market_data import CpiTable, RevenueRecord, TechnologyGroup, parse_revenue_table
 
 __all__ = [
@@ -41,7 +41,7 @@ def _read_text(path: str | Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not UTF-8") from None
+        raise TechCycleError(f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not UTF-8") from None
     return text[1:] if text.startswith("\ufeff") else text
 
 
@@ -53,13 +53,13 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}, line {line_no}: expected 'name = value'")
+            raise TechCycleError(f"{path}, line {line_no}: expected 'name = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if not key:
-            raise ConfigError(f"{path}, line {line_no}: empty key")
+            raise TechCycleError(f"{path}, line {line_no}: empty key")
         if key in values:
-            raise ConfigError(f"{path}, line {line_no}: duplicate key {key!r}")
+            raise TechCycleError(f"{path}, line {line_no}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -71,16 +71,16 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
     for name, value in read_kv_file(path).items():
         formats = tuple(f.strip() for f in value.split(";") if f.strip())
         if not formats:
-            raise ConfigError(f"{path}: group {name!r} lists no formats")
+            raise TechCycleError(f"{path}: group {name!r} lists no formats")
         for fmt in formats:
             if fmt in claimed:
-                raise ConfigError(
+                raise TechCycleError(
                     f"{path}: format {fmt!r} appears in both {claimed[fmt]!r} and {name!r}"
                 )
             claimed[fmt] = name
         groups.append(TechnologyGroup(name=name, formats=formats))
     if not groups:
-        raise ConfigError(f"{path}: no groups defined")
+        raise TechCycleError(f"{path}: no groups defined")
     return groups
 
 
@@ -91,31 +91,41 @@ def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
+        raise TechCycleError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows or [h.strip() for h in rows[0]] != ["year", "index"]:
-        raise ConfigError(f"{path}: expected header 'year,index'")
+        raise TechCycleError(f"{path}: expected header 'year,index'")
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or all(not c.strip() for c in row):
             continue
         try:
             year, index = int(row[0]), float(row[1])
         except (ValueError, IndexError):
-            raise ConfigError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
+            raise TechCycleError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
         if year in entries:
-            raise ConfigError(f"{path}: duplicate CPI year {year}")
+            raise TechCycleError(f"{path}: duplicate CPI year {year}")
         entries[year] = index
     try:
         return CpiTable(entries=entries, base_year=base_year)
-    except ValidationError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except TechCycleError as exc:
+        raise TechCycleError(f"{path}: {exc}") from None
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
     text = _read_text(path)
     try:
         return parse_revenue_table(text)
-    except TechCycleError as exc:  # parse, duplicate-row and value errors alike
-        raise type(exc)(f"{path}: {exc}") from None
+    except TechCycleError as exc:
+        raise TechCycleError(f"{path}: {exc}") from None
+
+
+def technology_names(combo: str) -> list[str]:
+    """The names in a technology name or a '+'-joined combination."""
+    return [part.strip() for part in combo.split("+") if part.strip()]
+
+
+def shared_technology(old: str, new: str) -> str | None:
+    """A technology named on both sides of an established/disruptive pair, if any."""
+    return next((name for name in technology_names(old) if name in technology_names(new)), None)
 
 
 def parse_window_spec(spec: str) -> tuple[int, int] | None:
@@ -125,13 +135,13 @@ def parse_window_spec(spec: str) -> tuple[int, int] | None:
         return None
     first, sep, last = text.partition(":")
     if not sep:
-        raise ConfigError(f"window spec {spec!r} must be 'Y1:Y2' or 'auto'")
+        raise TechCycleError(f"window spec {spec!r} must be 'Y1:Y2' or 'auto'")
     try:
         window = (int(first), int(last))
     except ValueError:
-        raise ConfigError(f"window spec {spec!r} has non-integer years") from None
+        raise TechCycleError(f"window spec {spec!r} has non-integer years") from None
     if window[0] > window[1]:
-        raise ConfigError(f"window spec {spec!r} is reversed")
+        raise TechCycleError(f"window spec {spec!r} is reversed")
     return window
 
 
@@ -165,10 +175,10 @@ def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         old, sep, new = chunk.partition(":")
         if not sep:
             raise ValueError(f"pair {chunk!r} must be 'established:disruptive'")
-        disruptors = tuple(part.strip() for part in new.split("+") if part.strip())
+        disruptors = tuple(technology_names(new))
         if not old.strip() or not disruptors:
             raise ValueError(f"pair {chunk!r} is incomplete")
-        if disruptors == (old.strip(),):
+        if shared_technology(old, new):
             raise ValueError(f"pair {chunk!r} pairs a technology with itself")
         pairs.append((old.strip(), disruptors))
     return tuple(pairs)
@@ -196,19 +206,23 @@ def load_reference(path: str | Path) -> ReferenceConfig:
         elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
             target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
         else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
+            raise TechCycleError(f"{path}: unknown key {key!r}")
         try:
             target[name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {key}: {exc}") from None
+            raise TechCycleError(f"{path}: {key}: {exc}") from None
     ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
+    for table, old, new in (("table1", ref.table1_old, ref.table1_new),
+                            ("table2", ref.table2_old, ref.table2_new)):
+        if shared := shared_technology(old, new):
+            raise TechCycleError(f"{path}: {table}_old and {table}_new both name {shared!r}")
     for key, ok, domain in (  # each test is also false for nan
         ("end_threshold_rel", 0.0 < ref.end_threshold_rel < 1.0, "(0, 1)"),
         ("regime_tolerance", 0.0 < ref.regime_tolerance < math.inf, "(0, inf)"),
         ("dp_residual_max", 0.0 <= ref.dp_residual_max <= 1.0, "[0, 1]"),
     ):
         if not ok:
-            raise ConfigError(f"{path}: {key}: {getattr(ref, key)} is not in {domain}")
+            raise TechCycleError(f"{path}: {key}: {getattr(ref, key)} is not in {domain}")
     return ref
 
 

@@ -12,14 +12,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import (
-    DegenerateCycleError,
-    DomainError,
-    InsufficientDataError,
-    NoCycleError,
-    NotYetDefinedError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, TechCycleError
 from .market_data import RevenueSeries
 
 
@@ -41,15 +34,15 @@ class CycleEvents:
 
     def __post_init__(self):
         if self.m_year is not None and self.a_year > self.m_year:
-            raise ValidationError(
+            raise TechCycleError(
                 f"{self.technology}: begin {self.a_year} after peak {self.m_year}"
             )
         if self.m_year is not None and self.z_year is not None and self.m_year > self.z_year:
-            raise ValidationError(
+            raise TechCycleError(
                 f"{self.technology}: peak {self.m_year} after end {self.z_year}"
             )
         if self.m_year is None and self.z_year is not None:
-            raise ValidationError(f"{self.technology}: end year without a peak year")
+            raise TechCycleError(f"{self.technology}: end year without a peak year")
 
 
 @frozen
@@ -102,7 +95,7 @@ class CrossoverResult:
 
     def __post_init__(self):
         if not self.established_share < 50.0:
-            raise ValidationError(
+            raise TechCycleError(
                 f"crossover share must be below 50, got {self.established_share}"
             )
 
@@ -122,10 +115,8 @@ def detect_events(
     censored flag set.
     """
     if not (0.0 < end_threshold_rel < 1.0):
-        raise DomainError(f"end threshold must be in (0, 1), got {end_threshold_rel}")
+        raise TechCycleError(f"end threshold must be in (0, 1), got {end_threshold_rel}")
     positive_years = [year for year, value in series.points.items() if value > 0.0]
-    if not positive_years:
-        raise NoCycleError(f"{series.technology}: series has no positive revenue")
     a_year = a_override if a_override is not None else positive_years[0]
 
     peak_value = max(series.points.values())
@@ -166,7 +157,7 @@ def cycle_metrics(events: CycleEvents) -> CycleSummary:
     up_share = down_share = None
     if az is not None:
         if az == 0:
-            raise DegenerateCycleError(
+            raise TechCycleError(
                 f"{events.technology}: zero-length cycle, wave shares undefined"
             )
         up_share = 100.0 * am / az
@@ -179,7 +170,7 @@ def cycle_metrics(events: CycleEvents) -> CycleSummary:
 def disruption_period(events: CycleEvents) -> int:
     """Years from peak to end of revenues (the down wave length)."""
     if events.m_year is None or events.z_year is None:
-        raise NotYetDefinedError(
+        raise TechCycleError(
             f"{events.technology}: disruption period needs both peak and end years"
         )
     return events.z_year - events.m_year
@@ -192,8 +183,9 @@ def crossover_year(
 
     Scans comparable years (both values present, combined revenue positive)
     in increasing order.  Returns ``None`` when no crossover occurs in the
-    data; a crossover at the very first comparable year carries the
-    ``boundary`` flag because earlier years are unobserved.
+    data, as when the series share no comparable year; a crossover at the
+    very first comparable year carries the ``boundary`` flag because earlier
+    years are unobserved.
     """
     lo = max(established.first_year, disruptive.first_year)
     hi = min(established.last_year, disruptive.last_year)
@@ -210,10 +202,6 @@ def crossover_year(
             return CrossoverResult(
                 year=year, established_share=share, boundary=year == first_comparable
             )
-    if first_comparable is None:
-        raise DomainError(
-            f"{established.technology} and {disruptive.technology} share no comparable year"
-        )
     return None
 
 

@@ -1,57 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit code.
+
+Library callers can sort failures the way the CLI does:
+
+* ``TechCycleError``: the input is malformed, inconsistent or outside the
+  domain of the computation (exit code 2).  The message names the fault.
+* ``InsufficientDataError``: the input is well formed but has too few
+  usable observations for the requested estimate (exit code 3).
+"""
 
 
 class TechCycleError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class TableParseError(TechCycleError):
-    """A CSV cell could not be parsed; message names the row and column."""
-
-
-class ValidationError(TechCycleError):
-    """A record or series violates a structural invariant."""
-
-
-class DuplicateRecordError(TechCycleError):
-    """The same (year, format) pair appears twice in one table."""
-
-
-class MissingCpiYearError(TechCycleError):
-    """A deflation was requested for a year absent from the CPI table."""
-
-
-class EmptyGroupError(TechCycleError):
-    """A technology group matched no record in the dataset."""
+    """Base class for all errors raised by this package; a bad input."""
 
 
 class InsufficientDataError(TechCycleError):
     """Too few observations for the requested estimate."""
 
 
-class DegenerateRegressorError(TechCycleError):
-    """The explanatory variable has zero variance."""
-
-
-class DomainError(TechCycleError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class NoCycleError(TechCycleError):
-    """A revenue series has no positive value, so no lifecycle exists."""
-
-
-class DegenerateCycleError(TechCycleError):
-    """Cycle length is zero; wave shares are undefined."""
-
-
-class NotYetDefinedError(TechCycleError):
-    """A cycle quantity depends on an event that has not occurred in the data."""
-
-
-class WindowError(TechCycleError):
+class WindowError(InsufficientDataError):
     """A fitting window is empty or contains unusable observations."""
-
-
-class ConfigError(TechCycleError):
-    """A config file is malformed or inconsistent."""

@@ -15,7 +15,7 @@ import math
 from operator import mul
 
 from ._record import frozen
-from .errors import DomainError, InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, TechCycleError
 from .market_data import RevenueSeries, positive_overlap_window
 from .regress import OlsFit, ols_simple
 
@@ -34,11 +34,11 @@ class LogisticParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"equilibrium level must be positive, got {self.k}")
+            raise TechCycleError(f"equilibrium level must be positive, got {self.k}")
         if not math.isfinite(self.a):
-            raise ValidationError(f"location constant must be finite, got {self.a}")
+            raise TechCycleError(f"location constant must be finite, got {self.a}")
         if not (math.isfinite(self.b) and self.b > 0):
-            raise ValidationError(f"growth rate must be positive, got {self.b}")
+            raise TechCycleError(f"growth rate must be positive, got {self.b}")
 
     @property
     def inflection(self) -> float:
@@ -68,7 +68,7 @@ class LogisticFit:
     @property
     def params(self) -> LogisticParams:
         if self.degenerate:
-            raise ValidationError("degenerate logistic fit has no valid growth parameters")
+            raise TechCycleError("degenerate logistic fit has no valid growth parameters")
         return LogisticParams(k=self.k, a=self.a, b=self.b)
 
 
@@ -302,7 +302,7 @@ def fit_substitution(
         ki = disruptive.value(year)
         for label, value in ((established.technology, v), (disruptive.technology, ki)):
             if value is None or value <= 0.0:
-                raise DomainError(
+                raise TechCycleError(
                     f"{label}: value for {year} is absent or non-positive inside window "
                     f"{first}-{last}"
                 )
@@ -330,7 +330,7 @@ def classify_regime(b: float, tolerance: float = 0.05) -> Regime:
     slow positive coupling.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
+        raise TechCycleError(f"tolerance must be positive, got {tolerance}")
     if b < 0.0:
         return Regime.NEGATIVE_COUPLING
     if abs(b - 1.0) <= tolerance:

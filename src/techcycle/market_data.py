@@ -15,13 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import (
-    DuplicateRecordError,
-    EmptyGroupError,
-    MissingCpiYearError,
-    TableParseError,
-    ValidationError,
-)
+from .errors import TechCycleError
 
 REVENUE_HEADER = ("year", "format", "revenue_nominal_musd", "revenue_real_musd", "units_m")
 
@@ -41,15 +35,15 @@ class RevenueRecord:
 
     def __post_init__(self):
         if not (YEAR_MIN <= self.year <= YEAR_MAX):
-            raise ValidationError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+            raise TechCycleError(f"year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if self.revenue_nominal is None and self.revenue_real is None:
-            raise ValidationError(
+            raise TechCycleError(
                 f"{self.year} {self.format!r}: at least one revenue column required"
             )
         for name in ("revenue_nominal", "revenue_real", "units"):
             value = getattr(self, name)
             if value is not None and (not math.isfinite(value) or value < 0):
-                raise ValidationError(f"{self.year} {self.format!r}: {name} must be >= 0")
+                raise TechCycleError(f"{self.year} {self.format!r}: {name} must be >= 0")
 
 
 @frozen
@@ -67,12 +61,12 @@ class RevenueSeries:
     def __post_init__(self):
         ordered = dict(sorted(self.points.items()))
         if not ordered:
-            raise ValidationError(f"{self.technology}: series has no observations")
+            raise TechCycleError(f"{self.technology}: series has no observations")
         for year, value in ordered.items():
             if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"{self.technology}: value for {year} must be >= 0")
+                raise TechCycleError(f"{self.technology}: value for {year} must be >= 0")
         if all(value == 0 for value in ordered.values()):
-            raise ValidationError(f"{self.technology}: series needs at least one positive value")
+            raise TechCycleError(f"{self.technology}: series needs at least one positive value")
         object.__setattr__(self, "points", MappingProxyType(ordered))
 
     @property
@@ -107,7 +101,7 @@ class TechnologyGroup:
 
     def __post_init__(self):
         if not self.formats:
-            raise ValidationError(f"group {self.name!r} has no formats")
+            raise TechCycleError(f"group {self.name!r} has no formats")
         object.__setattr__(self, "formats", tuple(self.formats))
 
 
@@ -122,16 +116,16 @@ class CpiTable:
         ordered = dict(sorted(self.entries.items()))
         for year, value in ordered.items():
             if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"CPI index for {year} must be positive")
+                raise TechCycleError(f"CPI index for {year} must be positive")
         if self.base_year not in ordered:
-            raise ValidationError(f"CPI table lacks its base year {self.base_year}")
+            raise TechCycleError(f"CPI table lacks its base year {self.base_year}")
         object.__setattr__(self, "entries", MappingProxyType(ordered))
 
     def deflator(self, year: int, base_year: int | None = None) -> float:
         base = self.base_year if base_year is None else base_year
         for needed in (year, base):
             if needed not in self.entries:
-                raise MissingCpiYearError(f"no CPI index for year {needed}")
+                raise TechCycleError(f"no CPI index for year {needed}")
         return self.entries[base] / self.entries[year]
 
 
@@ -145,12 +139,12 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise TableParseError(f"line {reader.line_num}: {exc}") from None
+        raise TechCycleError(f"line {reader.line_num}: {exc}") from None
     if not rows:
-        raise TableParseError("empty input: missing header row")
+        raise TechCycleError("empty input: missing header row")
     header = rows[0]
     if tuple(h.strip() for h in header) != REVENUE_HEADER:
-        raise TableParseError(
+        raise TechCycleError(
             f"unexpected header {header!r}; expected {','.join(REVENUE_HEADER)}"
         )
     records: list[RevenueRecord] = []
@@ -159,19 +153,19 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(REVENUE_HEADER):
-            raise TableParseError(f"row {row_no}: expected {len(REVENUE_HEADER)} cells, got {len(row)}")
+            raise TechCycleError(f"row {row_no}: expected {len(REVENUE_HEADER)} cells, got {len(row)}")
         year = _parse_int(row[0], row_no, "year")
         fmt = row[1].strip()
         if not fmt:
-            raise TableParseError(f"row {row_no}: empty format label")
+            raise TechCycleError(f"row {row_no}: empty format label")
         nominal = _parse_optional_float(row[2], row_no, "revenue_nominal_musd")
         real = _parse_optional_float(row[3], row_no, "revenue_real_musd")
         units = _parse_optional_float(row[4], row_no, "units_m")
         if nominal is None and real is None:
-            raise ValidationError(f"row {row_no}: both revenue columns are empty")
+            raise TechCycleError(f"row {row_no}: both revenue columns are empty")
         key = (year, fmt)
         if key in seen:
-            raise DuplicateRecordError(f"row {row_no}: duplicate entry for ({year}, {fmt!r})")
+            raise TechCycleError(f"row {row_no}: duplicate entry for ({year}, {fmt!r})")
         seen.add(key)
         records.append(
             RevenueRecord(
@@ -223,12 +217,12 @@ def aggregate_group(
             continue
         matched = True
         if record.revenue_real is None:
-            raise ValidationError(
+            raise TechCycleError(
                 f"{record.year} {record.format!r}: missing real revenue; run adjust_inflation first"
             )
         totals[record.year] = totals.get(record.year, 0.0) + record.revenue_real
     if not matched:
-        raise EmptyGroupError(
+        raise TechCycleError(
             f"group {group.name!r} matched no record (formats: {', '.join(group.formats)})"
         )
     return RevenueSeries(technology=group.name, base_year=base_year, points=totals)
@@ -258,7 +252,7 @@ def positive_overlap_window(a: RevenueSeries, b: RevenueSeries) -> tuple[int, in
 def merge_series(name: str, parts: list[RevenueSeries]) -> RevenueSeries:
     """Pointwise sum of several technologies (e.g. a combined disruptor)."""
     if not parts:
-        raise ValidationError("merge_series needs at least one series")
+        raise TechCycleError("merge_series needs at least one series")
     totals: dict[int, float] = {}
     for part in parts:
         for year, value in part.points.items():
@@ -270,7 +264,7 @@ def _parse_int(cell: str, row_no: int, column: str) -> int:
     try:
         return int(cell.strip())
     except ValueError:
-        raise TableParseError(f"row {row_no}, column {column}: {cell!r} is not an integer") from None
+        raise TechCycleError(f"row {row_no}, column {column}: {cell!r} is not an integer") from None
 
 
 def _parse_optional_float(cell: str, row_no: int, column: str) -> float | None:
@@ -280,8 +274,8 @@ def _parse_optional_float(cell: str, row_no: int, column: str) -> float | None:
     try:
         value = float(text)
     except ValueError:
-        raise TableParseError(f"row {row_no}, column {column}: {cell!r} is not a number") from None
+        raise TechCycleError(f"row {row_no}, column {column}: {cell!r} is not a number") from None
     if not math.isfinite(value):
-        raise TableParseError(f"row {row_no}: {column} must be a finite number, got {cell!r}")
+        raise TechCycleError(f"row {row_no}: {column} must be a finite number, got {cell!r}")
     return value
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ._record import frozen
-from .errors import DegenerateRegressorError, DomainError, InsufficientDataError
+from .errors import InsufficientDataError, TechCycleError
 
 
 @frozen
@@ -55,7 +55,7 @@ def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
     y_mean = math.fsum(ys) / n
     sxx = math.fsum((x - x_mean) ** 2 for x in xs)
     if sxx == 0.0:
-        raise DegenerateRegressorError("explanatory variable has zero variance")
+        raise TechCycleError("explanatory variable has zero variance")
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     syy = math.fsum((y - y_mean) ** 2 for y in ys)
 
@@ -115,17 +115,12 @@ def t_p_value(t: float, df: int) -> float:
     ``I`` is the regularized incomplete beta function.
     """
     if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return _betainc(0.5 * df, 0.5, x)
+        raise TechCycleError(f"degrees of freedom must be >= 1, got {df}")
+    return _f_tail(t * t, df)
 
 
 def _f_tail(f: float, df: int) -> float:
-    """Upper tail of an F(1, df) variate; numerically identical to t_p_value."""
+    """Upper tail of an F(1, df) variate; ``t_p_value`` is this tail at ``f = t * t``."""
     if math.isinf(f):
         return 0.0
     if f <= 0.0:

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from ._record import frozen
-from .config import ReferenceConfig, load_cpi_csv, load_groups, load_revenue_csv
+from .config import ReferenceConfig, load_cpi_csv, load_groups, load_revenue_csv, technology_names
 from .cycle import (
     CrossoverResult,
     CycleAggregate,
@@ -25,7 +25,7 @@ from .cycle import (
     detect_events,
     disruption_period,
 )
-from .errors import ConfigError, DomainError
+from .errors import TechCycleError
 from .growth import SubstitutionFit, fit_substitution
 from .market_data import (
     CpiTable,
@@ -52,12 +52,17 @@ class Dataset:
     base_year: int
 
     def series_for(self, combo: str) -> RevenueSeries:
-        """Resolve a technology name, or a '+'-joined combination."""
-        names = [part.strip() for part in combo.split("+") if part.strip()]
+        """Resolve a technology name, or a '+'-joined combination of distinct names."""
+        names = technology_names(combo)
+        if not names:
+            raise TechCycleError(f"{combo!r} names no technology")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise TechCycleError(f"{combo!r} names {repeated[0]!r} twice")
         missing = [name for name in names if name not in self.series]
         if missing:
             known = ", ".join(sorted(self.series))
-            raise KeyError(f"unknown technology {missing[0]!r}; known: {known}")
+            raise TechCycleError(f"unknown technology {missing[0]!r}; known: {known}")
         if len(names) == 1:
             return self.series[names[0]]
         return merge_series("+".join(names), [self.series[name] for name in names])
@@ -130,10 +135,7 @@ def pair_row(
     once its revenue has ended and fallen to ``dp_residual_max`` of its peak.
     """
     established = dataset.series_for(old)
-    try:
-        crossover = crossover_year(established, dataset.series_for(new))
-    except DomainError:
-        crossover = None
+    crossover = crossover_year(established, dataset.series_for(new))
     events = _events(ref, old, established)
     peak = max(established.points.values())
     latest = established.points[established.last_year]
@@ -473,7 +475,7 @@ def render(fmt: str, mapping: dict, text: str) -> str:
         return mapping_to_csv(mapping)
     if fmt == "text":
         return text
-    raise ConfigError(f"unknown output format {fmt!r}")
+    raise TechCycleError(f"unknown output format {fmt!r}")
 
 
 def mapping_to_csv(mapping: dict) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ._record import frozen
-from .errors import ValidationError, WindowError
+from .errors import TechCycleError, WindowError
 from .growth import LogisticParams, fit_substitution, implied_exponent, logistic_value
 from .market_data import RevenueSeries
 
@@ -46,13 +46,13 @@ class SyntheticScenario:
     def __post_init__(self):
         first, last = self.years
         if first > last:
-            raise ValidationError(f"empty year range {self.years}")
+            raise TechCycleError(f"empty year range {self.years}")
         if last - first >= _MAX_YEARS:
-            raise ValidationError(
+            raise TechCycleError(
                 f"year range {self.years} covers {last - first + 1} years; at most {_MAX_YEARS}"
             )
         if not (0.0 <= self.noise_rel < 1.0):
-            raise ValidationError(f"noise_rel must be in [0, 1), got {self.noise_rel}")
+            raise TechCycleError(f"noise_rel must be in [0, 1), got {self.noise_rel}")
         object.__setattr__(self, "seed", self.seed & _MASK64)
 
 
@@ -134,7 +134,7 @@ def recovery_experiment(
 def _early_window(s: SyntheticScenario, fraction: float) -> tuple[int, int] | None:
     """Prefix of the year range where both true levels stay below fraction*k."""
     if not (0.0 < fraction < 1.0):
-        raise ValidationError(f"early fraction must be in (0, 1), got {fraction}")
+        raise TechCycleError(f"early fraction must be in (0, 1), got {fraction}")
     first, last = s.years
     end = None
     for t in range(first, last + 1):
@@ -158,11 +158,11 @@ def scenario_from_mapping(values: dict[str, str]) -> SyntheticScenario:
     """
     unknown = sorted(set(values) - _SCENARIO_KEYS)
     if unknown:
-        raise ValidationError(f"scenario config has unknown key {unknown[0]!r}")
+        raise TechCycleError(f"scenario config has unknown key {unknown[0]!r}")
 
     def need(key: str) -> str:
         if key not in values:
-            raise ValidationError(f"scenario config missing key {key!r}")
+            raise TechCycleError(f"scenario config missing key {key!r}")
         return values[key]
 
     try:
@@ -172,7 +172,7 @@ def scenario_from_mapping(values: dict[str, str]) -> SyntheticScenario:
         noise_rel = float(values.get("noise_rel", "0"))
         seed = int(values.get("seed", "0"))
     except ValueError as exc:
-        raise ValidationError(f"scenario config has a malformed number: {exc}") from None
+        raise TechCycleError(f"scenario config has a malformed number: {exc}") from None
     return SyntheticScenario(
         p_old=p_old, p_new=p_new, years=years, noise_rel=noise_rel, seed=seed
     )

@@ -9,7 +9,7 @@ from techcycle.config import (
     parse_window_spec,
     read_kv_file,
 )
-from techcycle.errors import ConfigError, DuplicateRecordError, TableParseError
+from techcycle.errors import TechCycleError
 
 
 class TestKvFile:
@@ -21,20 +21,20 @@ class TestKvFile:
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("just text\n")
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(TechCycleError, match="line 1"):
             read_kv_file(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("a = 1\na = 2\n")
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(TechCycleError, match="duplicate"):
             read_kv_file(path)
 
 
     def test_non_utf8_names_file_and_byte(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_bytes(b"a = 1\nb = \xe9\n")
-        with pytest.raises(ConfigError, match=r"x\.cfg: byte 10 \(0xe9\) is not UTF-8"):
+        with pytest.raises(TechCycleError, match=r"x\.cfg: byte 10 \(0xe9\) is not UTF-8"):
             read_kv_file(path)
 
 
@@ -49,13 +49,13 @@ class TestGroups:
     def test_format_in_two_groups_rejected(self, tmp_path):
         path = tmp_path / "g.cfg"
         path.write_text("a = CD\nb = CD; Cassette\n")
-        with pytest.raises(ConfigError, match="'CD'"):
+        with pytest.raises(TechCycleError, match="'CD'"):
             load_groups(path)
 
     def test_empty_format_list_rejected(self, tmp_path):
         path = tmp_path / "g.cfg"
         path.write_text("a = ;\n")
-        with pytest.raises(ConfigError, match="no formats"):
+        with pytest.raises(TechCycleError, match="no formats"):
             load_groups(path)
 
 
@@ -68,7 +68,7 @@ class TestCpi:
     def test_duplicate_year_rejected(self, tmp_path):
         path = tmp_path / "cpi.csv"
         path.write_text("year,index\n2018,100\n2018,101\n")
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(TechCycleError, match="duplicate"):
             load_cpi_csv(path)
 
 
@@ -81,7 +81,8 @@ class TestWindowSpec:
 
     @pytest.mark.parametrize("bad", ["1984", "a:b", "1990:1984"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ConfigError):
+        fault = {"1984": "must be 'Y1:Y2'", "a:b": "non-integer", "1990:1984": "reversed"}[bad]
+        with pytest.raises(TechCycleError, match=fault):
             parse_window_spec(bad)
 
 
@@ -105,7 +106,7 @@ class TestReferenceConfig:
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "r.cfg"
         path.write_text(f"table1_old = cassette\n{line}\n")
-        with pytest.raises(ConfigError, match=f"unknown key {line.split()[0]!r}"):
+        with pytest.raises(TechCycleError, match=f"unknown key {line.split()[0]!r}"):
             load_reference(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -118,14 +119,14 @@ class TestReferenceConfig:
     def test_malformed_value_names_the_key(self, tmp_path, line, message):
         path = tmp_path / "r.cfg"
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(TechCycleError, match=message):
             load_reference(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
     def test_dp_residual_max_outside_unit_interval_rejected(self, tmp_path, value):
         path = tmp_path / "r.cfg"
         path.write_text(f"dp_residual_max = {value}\n")
-        with pytest.raises(ConfigError, match=r"r\.cfg: dp_residual_max: .* is not in \[0, 1\]"):
+        with pytest.raises(TechCycleError, match=r"r\.cfg: dp_residual_max: .* is not in \[0, 1\]"):
             load_reference(path)
 
     @pytest.mark.parametrize("value", ["0", "1", "0.3"])
@@ -142,14 +143,14 @@ class TestReferenceConfig:
     def test_threshold_and_tolerance_outside_domain_rejected(self, tmp_path, key, domain, value):
         path = tmp_path / "r.cfg"
         path.write_text(f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=rf"r\.cfg: {key}: .* is not in {domain}$"):
+        with pytest.raises(TechCycleError, match=rf"r\.cfg: {key}: .* is not in {domain}$"):
             load_reference(path)
 
     @pytest.mark.parametrize("value", ["1", "1.5"])
     def test_end_threshold_rel_of_one_or_more_rejected(self, tmp_path, value):
         path = tmp_path / "r.cfg"
         path.write_text(f"end_threshold_rel = {value}\n")
-        with pytest.raises(ConfigError, match=r"end_threshold_rel: .* is not in \(0, 1\)"):
+        with pytest.raises(TechCycleError, match=r"end_threshold_rel: .* is not in \(0, 1\)"):
             load_reference(path)
 
     @pytest.mark.parametrize("line", [
@@ -166,15 +167,15 @@ class TestReferenceConfig:
 class TestRevenueCsv:
     HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
 
-    @pytest.mark.parametrize("body, error, message", [
-        ("2000,CD,oops,,\n", TableParseError, "row 1, column revenue_nominal_musd"),
-        ("2000,CD,1.0\n", TableParseError, "row 1: expected 5 cells"),
-        ("2000,CD,1.0,,\n2000,CD,2.0,,\n", DuplicateRecordError, "row 2: duplicate entry"),
+    @pytest.mark.parametrize("body, message", [
+        ("2000,CD,oops,,\n", "row 1, column revenue_nominal_musd"),
+        ("2000,CD,1.0\n", "row 1: expected 5 cells"),
+        ("2000,CD,1.0,,\n2000,CD,2.0,,\n", "row 2: duplicate entry"),
     ])
-    def test_errors_start_with_the_path(self, tmp_path, body, error, message):
+    def test_errors_start_with_the_path(self, tmp_path, body, message):
         path = tmp_path / "revenue.csv"
         path.write_text(self.HEADER + body)
-        with pytest.raises(error) as exc:
+        with pytest.raises(TechCycleError) as exc:
             load_revenue_csv(path)
         assert str(exc.value).startswith(f"{path}: {message}")
 

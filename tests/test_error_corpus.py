@@ -1,0 +1,314 @@
+"""Pinned (exit code, stderr) of the CLI on a fixed corpus of bad inputs.
+
+The corpus holds every error case of ``test_cli`` that reaches ``main``'s
+handlers (argparse usage errors exit 2 before them), at least one input per
+kind of fault the package reports, the unknown-technology path and the
+pair with no comparable year.  Each case writes its files under a temporary
+directory, runs ``main()`` in-process and compares the exit code and the
+whole of stderr; ``{tmp}`` and ``{data}`` in the pinned text stand for that
+directory and the bundled data directory.  A change to any message or exit
+code here is a change to the CLI's contract, and says so in CHANGES.md.
+
+Three faults cannot be reached from the command line, so they are pinned as
+library calls with the exit code ``main`` gives their exception: a zero-length
+cycle, the disruption period of an ongoing technology, and a series with no
+positive revenue (rejected when the series is built).
+"""
+
+import pytest
+
+from techcycle import cli, errors
+from techcycle.cli import main
+from techcycle.config import default_data_dir
+from techcycle.cycle import CycleEvents, cycle_metrics, disruption_period
+from techcycle.errors import InsufficientDataError, TechCycleError
+from techcycle.market_data import RevenueSeries
+
+DATA = default_data_dir()
+SCENARIO = str(DATA / "scenarios" / "dual_logistic_demo.cfg")
+HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
+REFERENCE = (DATA / "reference.cfg").read_text()
+KNOWN = "8-track, cassette, cd, download, streaming, vinyl"
+
+
+def tiny(rows: str, cpi: str = "year,index\n2000,80\n2001,82\n2002,85\n2018,100\n") -> dict:
+    """A small dataset: revenue ``rows`` under the header, a CPI and two groups."""
+    return {"data.csv": HEADER + rows, "cpi.csv": cpi, "groups.cfg": "old = Old\nnew = New\n"}
+
+
+TINY = ["--data", "{tmp}/data.csv", "--cpi", "{tmp}/cpi.csv", "--groups", "{tmp}/groups.cfg"]
+
+
+def reference(key: str, line: str) -> dict:
+    """The bundled reference config with the ``key`` line replaced by ``line``."""
+    lines = [line if old.startswith(f"{key} =") else old for old in REFERENCE.splitlines()]
+    return {"r.cfg": "\n".join(lines) + "\n"}
+
+
+def spliced(name: str) -> bytes:
+    """A bundled file with one byte that is not UTF-8 at offset 40."""
+    text = (DATA / name).read_bytes()
+    return text[:40] + b"\xff" + text[40:]
+
+
+def oversized(name: str) -> str:
+    return (DATA / name).read_text() + "2000," + "9" * 200_000 + "\n"
+
+
+def non_finite(column: str, cell: str) -> dict:
+    row = {"revenue_nominal_musd": "10.0", "revenue_real_musd": "", "units_m": "", column: cell}
+    return {**tiny(""), "data.csv": "year,format," + ",".join(row) + "\n2000,Old,"
+            + ",".join(row.values()) + "\n"}
+
+
+# what each subcommand needs besides --config
+EXTRA = {"cycles": [], "report": ["--out", "{tmp}/out"],
+         "crossover": ["--old", "download", "--new", "streaming"]}
+
+# id -> (argv, files to write under {tmp}, exit code, stderr)
+CLI = {
+    # test_cli error cases
+    "broken-header": (
+        ["validate", "--data", "{tmp}/bad.csv"], {"bad.csv": "year,format\n"}, 2,
+        "error: {tmp}/bad.csv: unexpected header ['year', 'format']; "
+        "expected year,format,revenue_nominal_musd,revenue_real_musd,units_m\n",
+    ),
+    **{
+        f"non-finite-{column}-{cell}": (
+            ["validate", *TINY], non_finite(column, cell), 2,
+            f"error: {{tmp}}/data.csv: row 1: {column} must be a finite number, got {cell!r}\n",
+        )
+        for column in ("revenue_nominal_musd", "revenue_real_musd", "units_m")
+        for cell in ("nan", "inf", "-Infinity")
+    },
+    **{
+        f"non-utf8-{name}": (
+            [*argv, "{tmp}/input"], {"input": spliced(name)}, 2,
+            "error: {tmp}/input: byte 40 (0xff) is not UTF-8\n",
+        )
+        for name, argv in (
+            ("riaa_revenue.csv", ["validate", "--data"]),
+            ("cpi.csv", ["validate", "--cpi"]),
+            ("reference.cfg", ["cycles", "--config"]),
+            ("scenarios/dual_logistic_demo.cfg", ["simulate", "--scenario"]),
+        )
+    },
+    "oversized-data": (
+        ["validate", "--data", "{tmp}/big.csv"], {"big.csv": oversized("riaa_revenue.csv")}, 2,
+        "error: {tmp}/big.csv: line 328: field larger than field limit (131072)\n",
+    ),
+    "oversized-cpi": (
+        ["validate", "--cpi", "{tmp}/big.csv"], {"big.csv": oversized("cpi.csv")}, 2,
+        "error: {tmp}/big.csv, line 49: field larger than field limit (131072)\n",
+    ),
+    "revenue-cell": (
+        ["validate", "--data", "{tmp}/data.csv"],
+        {"data.csv": (DATA / "riaa_revenue.csv").read_text() + "2000,CD,-,,\n"}, 2,
+        "error: {tmp}/data.csv: row 327, column revenue_nominal_musd: '-' is not a number\n",
+    ),
+    **{
+        f"self-pair-{command}-{label}": (
+            [command, "--old", "cd", "--new", new], {}, 2,
+            "error: --old and --new both name 'cd'\n",
+        )
+        for command in ("fit", "crossover")
+        for new, label in (("cd", "cd"), (" cd", "space-cd"), ("cd+", "cd-plus"))
+    },
+    "unknown-technology": (
+        ["fit", "--old", "betamax", "--new", "cd"], {}, 2,
+        f"error: unknown technology 'betamax'; known: {KNOWN}\n",
+    ),
+    "short-window": (
+        ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1991"], {}, 3,
+        "error: window 1990-1991 has 2 usable years; need >= 3\n",
+    ),
+    **{
+        f"config-{line.replace(' ', '')}": (
+            [command, "--config", "{tmp}/r.cfg", *EXTRA[command]],
+            reference(line.split()[0], line), 2, f"error: {{tmp}}/r.cfg: {message}\n",
+        )
+        for command, line, message in (
+            ("cycles", "end_threshold_rel = nan", "end_threshold_rel: nan is not in (0, 1)"),
+            ("cycles", "end_threshold_rel = 1", "end_threshold_rel: 1.0 is not in (0, 1)"),
+            ("report", "regime_tolerance = -1", "regime_tolerance: -1.0 is not in (0, inf)"),
+            ("report", "regime_tolerance = inf", "regime_tolerance: inf is not in (0, inf)"),
+            ("report", "table3_pairs = cd:cd",
+             "table3_pairs: pair 'cd:cd' pairs a technology with itself"),
+            ("crossover", "dp_residual_max = nan", "dp_residual_max: nan is not in [0, 1]"),
+        )
+    },
+    **{
+        f"simulate-window-{window}": (
+            ["simulate", "--scenario", SCENARIO, "--window", window], {}, 3, message,
+        )
+        for window, message in (
+            ("5000:5010", "error: window (5000, 5010) not fittable: established: "
+                          "series has no observations\n"),
+            ("35:45", "error: window (35, 45) not fittable: established: value for 41 "
+                      "is absent or non-positive inside window 35-45\n"),
+        )
+    },
+    "scenario-missing-key": (
+        ["simulate", "--scenario", "{tmp}/s.cfg"], {"s.cfg": "k1 = 1000\n"}, 2,
+        "error: scenario config missing key 'a1'\n",
+    ),
+    "scenario-huge-range": (
+        ["simulate", "--scenario", "{tmp}/s.cfg", "--out", "{tmp}/out"],
+        {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
+         .replace("year_end = 40", "year_end = 100000000")}, 2,
+        "error: year range (0, 100000000) covers 100000001 years; at most 10000\n",
+    ),
+    # one input per kind of fault
+    "revenue-both-columns-empty": (
+        ["validate", *TINY], tiny("2000,Old,,,\n"), 2,
+        "error: {tmp}/data.csv: row 1: both revenue columns are empty\n",
+    ),
+    "revenue-duplicate-row": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,
+        "error: {tmp}/data.csv: row 2: duplicate entry for (2000, 'Old')\n",
+    ),
+    "cpi-missing-year": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
+        "error: no CPI index for year 2000\n",
+    ),
+    "cpi-missing-base-year": (
+        ["validate", "--base-year", "1900"], {}, 2,
+        "error: {data}/cpi.csv: CPI table lacks its base year 1900\n",
+    ),
+    "group-matches-nothing": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n"), 2,
+        "error: group 'new' matched no record (formats: New)\n",
+    ),
+    "constant-regressor": (
+        ["fit", *TINY, "--old", "old", "--new", "new"],
+        tiny("2000,Old,5.0,,\n2001,Old,5.0,,\n2002,Old,5.0,,\n"
+             "2000,New,1.0,,\n2001,New,2.0,,\n2002,New,3.0,,\n",
+             cpi="year,index\n2000,100\n2001,100\n2002,100\n2018,100\n"), 2,
+        "error: explanatory variable has zero variance\n",
+    ),
+    "non-positive-tolerance": (
+        ["fit", "--old", "cassette", "--new", "cd", "--tolerance=0"], {}, 2,
+        "error: tolerance must be positive, got 0.0\n",
+    ),
+    "window-with-absent-year": (
+        ["fit", "--old", "cassette", "--new", "streaming", "--window", "1990:2000"], {}, 2,
+        "error: streaming: value for 1990 is absent or non-positive inside window 1990-2000\n",
+    ),
+    "begin-after-peak": (
+        ["cycles", "--config", "{tmp}/r.cfg"],
+        reference("a_override.cassette", "a_override.cassette = 2000"), 2,
+        "error: cassette: begin 2000 after peak 1990\n",
+    ),
+    "reversed-window": (
+        ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1984"], {}, 2,
+        "error: window spec '1990:1984' is reversed\n",
+    ),
+    "no-overlap": (
+        ["fit", *TINY, "--old", "old", "--new", "new"],
+        tiny("2000,Old,10.0,,\n2001,Old,10.0,,\n2002,New,1.0,,\n"), 3,
+        "error: new vs old: no overlapping strictly-positive years\n",
+    ),
+    "early-fraction": (
+        ["simulate", "--scenario", SCENARIO, "--early-fraction=0.001"], {}, 3,
+        "error: early window (fraction 0.001) has fewer than 3 years; "
+        "lower the growth rates, start earlier, or raise the fraction\n",
+    ),
+    "no-comparable-year": (
+        ["crossover", "--old", "8-track", "--new", "streaming"], {}, 0, "",
+    ),
+    # names that share a technology, or name none or one twice
+    "pair-overlap-new": (
+        ["crossover", "--old", "cd", "--new", "cd+download"], {}, 2,
+        "error: --old and --new both name 'cd'\n",
+    ),
+    "pair-overlap-both": (
+        ["crossover", "--old", "cd+download", "--new", "download+cd"], {}, 2,
+        "error: --old and --new both name 'cd'\n",
+    ),
+    "config-table1-self-pair": (
+        ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
+        reference("table1_new", "table1_new = cassette"), 2,
+        "error: {tmp}/r.cfg: table1_old and table1_new both name 'cassette'\n",
+    ),
+    "config-table3-overlap": (
+        ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
+        reference("table3_pairs", "table3_pairs = cd:download+cd"), 2,
+        "error: {tmp}/r.cfg: table3_pairs: pair 'cd:download+cd' pairs a technology "
+        "with itself\n",
+    ),
+    "name-only-plus": (
+        ["fit", "--old", "+", "--new", "cd"], {}, 2,
+        "error: '+' names no technology\n",
+    ),
+    "name-empty": (
+        ["fit", "--old", "", "--new", "cd"], {}, 2,
+        "error: '' names no technology\n",
+    ),
+    "name-repeated": (
+        ["fit", "--old", "cassette", "--new", "cd+cd"], {}, 2,
+        "error: 'cd+cd' names 'cd' twice\n",
+    ),
+}
+
+
+def _events(m_year, z_year):
+    return CycleEvents(technology="x", a_year=2000, m_year=m_year, z_year=z_year)
+
+
+# id -> (call, exit code main gives its exception, message)
+LIBRARY = {
+    "zero-length-cycle": (
+        lambda: cycle_metrics(_events(2000, 2000)), 2,
+        "x: zero-length cycle, wave shares undefined",
+    ),
+    "ongoing-disruption-period": (
+        lambda: disruption_period(_events(None, None)), 2,
+        "x: disruption period needs both peak and end years",
+    ),
+    "no-positive-revenue": (
+        lambda: RevenueSeries(technology="x", base_year=2018, points={2000: 0.0}), 2,
+        "x: series needs at least one positive value",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI))
+def test_cli_error_output(case, tmp_path, capsys):
+    argv, files, code, stderr = CLI[case]
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.replace(str(tmp_path), "{tmp}").replace(str(DATA), "{data}") == stderr
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY))
+def test_library_error(case):
+    call, code, message = LIBRARY[case]
+    with pytest.raises(TechCycleError) as exc:
+        call()
+    assert (3 if isinstance(exc.value, InsufficientDataError) else 2, str(exc.value)) == (
+        code, message)
+
+
+ERROR_CLASSES = sorted(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and value.__module__ == errors.__name__
+)
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_error_class_maps_to_its_exit_code(name, monkeypatch, capsys):
+    cls = getattr(errors, name)
+    assert issubclass(cls, errors.TechCycleError)
+
+    def fail(args):
+        raise cls("the message")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert cli.main(["validate"]) == (3 if issubclass(cls, errors.InsufficientDataError) else 2)
+    assert capsys.readouterr().err == "error: the message\n"

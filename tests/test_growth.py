@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techcycle.cycle import detect_events
-from techcycle.errors import DomainError, InsufficientDataError, ValidationError
+from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.growth import (
     LogisticParams,
     Regime,
@@ -138,9 +138,9 @@ class TestLogisticValue:
         assert total == pytest.approx(p.k, rel=1e-9)
 
     def test_params_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="equilibrium level must be positive"):
             LogisticParams(k=-1.0, a=0.0, b=1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="growth rate must be positive"):
             LogisticParams(k=1.0, a=0.0, b=0.0)
 
 
@@ -157,7 +157,7 @@ class TestFitLogistic:
         fit = fit_logistic(series({t: 400.0 for t in range(2000, 2010)}))
         assert fit.degenerate
         assert fit.k == pytest.approx(400.0, rel=0.02)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="degenerate logistic fit"):
             _ = fit.params
 
     def test_time_shift_changes_only_location(self):
@@ -336,7 +336,7 @@ class TestFitSubstitution:
     def test_explicit_window_domain_error_names_year(self):
         old = series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old")
         new = series({t: 1.0 for t in range(2000, 2004)}, "new")
-        with pytest.raises(DomainError, match="2001"):
+        with pytest.raises(TechCycleError, match="2001"):
             fit_substitution(new, old, window=(2000, 2003))
 
     def test_window_too_small(self):
@@ -391,7 +391,7 @@ class TestClassifyRegime:
         assert classify_regime(0.0) is Regime.LOW_GROWTH
 
     def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TechCycleError, match="tolerance must be positive"):
             classify_regime(1.0, tolerance=0.0)
 
     @given(st.floats(-10, 10), st.floats(0.01, 0.5), st.floats(0.01, 100))

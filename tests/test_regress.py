@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from techcycle.errors import DegenerateRegressorError, DomainError, InsufficientDataError
+from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.regress import ols_simple, significance_stars, t_p_value
 
 
@@ -58,7 +58,7 @@ class TestOlsSimple:
             ols_simple([1.0, 2.0], [1.0, 2.0])
 
     def test_zero_variance_regressor(self):
-        with pytest.raises(DegenerateRegressorError):
+        with pytest.raises(TechCycleError, match="zero variance"):
             ols_simple([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
@@ -136,13 +136,12 @@ class TestTPValue:
     def test_symmetry_in_t(self):
         assert t_p_value(-2.2, 9) == pytest.approx(t_p_value(2.2, 9), abs=1e-14)
 
-    @given(st.integers(1, 200), st.floats(0.01, 50), st.floats(0.01, 50))
+    # t values 1 ulp apart can share one double p, so the pair differs by a
+    # factor of at least 1 + 1e-9, which p resolves at double precision
+    @given(st.integers(1, 200), st.floats(0.01, 50), st.floats(1e-9, 1.0))
     @settings(max_examples=200)
-    def test_monotone_decreasing_in_abs_t(self, df, t1, t2):
-        lo, hi = sorted((t1, t2))
-        if lo == hi:
-            return
-        assert t_p_value(lo, df) > t_p_value(hi, df)
+    def test_monotone_decreasing_in_abs_t(self, df, t, gap):
+        assert t_p_value(t, df) > t_p_value(t * (1.0 + gap), df)
 
     def test_decreasing_in_df_at_fixed_t(self):
         for t in (0.5, 1.0, 2.0, 3.8):
@@ -150,7 +149,7 @@ class TestTPValue:
             assert all(a > b for a, b in zip(ps, ps[1:]))
 
     def test_df_zero_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TechCycleError, match="degrees of freedom must be >= 1"):
             t_p_value(1.0, 0)
 
 

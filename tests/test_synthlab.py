@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from techcycle.errors import ValidationError, WindowError
+from techcycle.errors import TechCycleError, WindowError
 from techcycle.growth import LogisticParams, fit_substitution, logistic_value
 from techcycle.market_data import RevenueSeries
 from techcycle.synthlab import (
@@ -61,18 +61,18 @@ class TestGenerateScenario:
                 assert 0.0 <= value <= level * 1.5 + 1e-12
 
     def test_noise_rel_bounds_validated(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="noise_rel must be in"):
             scenario(noise=1.0)
 
     def test_empty_year_range_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="empty year range"):
             scenario(years=(10, 0))
 
     def test_year_range_capped_at_ten_thousand_years(self):
         assert scenario(years=(0, 9_999)).years == (0, 9_999)
-        with pytest.raises(ValidationError, match="10000"):
+        with pytest.raises(TechCycleError, match="10000"):
             scenario(years=(0, 10_000))
-        with pytest.raises(ValidationError):
+        with pytest.raises(TechCycleError, match="at most 10000"):
             scenario(years=(0, 100_000_000))
 
 
@@ -204,13 +204,13 @@ class TestScenarioConfig:
         assert s.years == (0, 40) and s.seed == 42
 
     def test_missing_key_named(self):
-        with pytest.raises(ValidationError, match="b2"):
+        with pytest.raises(TechCycleError, match="b2"):
             scenario_from_mapping({"k1": "1", "a1": "0", "b1": "1",
                                    "k2": "1", "a2": "0",
                                    "year_start": "0", "year_end": "10"})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown key 'noise'"):
+        with pytest.raises(TechCycleError, match="unknown key 'noise'"):
             scenario_from_mapping({"k1": "1", "a1": "0", "b1": "1",
                                    "k2": "1", "a2": "0", "b2": "1",
                                    "year_start": "0", "year_end": "10", "noise": "0.05"})
