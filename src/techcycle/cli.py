@@ -20,11 +20,13 @@ from . import report as report_mod
 from .config import (default_data_dir, load_reference, parse_window_spec, read_kv_file,
                      shared_technology)
 
-# Not called here (Tables 3 and 4 are computed in report.py), but
+# detect_events checks the config's begin-year overrides; the other three are
+# not called here (Tables 3 and 4 are computed in report.py), but
 # perfbench/tracing.py looks these names up in this module.
 from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
 from .errors import InsufficientDataError, TechCycleError
 from .growth import fit_substitution
+from .market_data import BASE_YEAR
 from .synthlab import generate_scenario, recovery_experiment, scenario_from_mapping
 
 EXIT_OK = 0
@@ -67,11 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=str(data_dir / "riaa_revenue.csv"),
                        help="revenue CSV (default: bundled dataset)")
         p.add_argument("--cpi", default=str(data_dir / "cpi.csv"),
-                       help="CPI CSV 'year,index' (default: bundled)")
+                       help=f"CPI CSV 'year,index' (default: bundled); nominal-only rows are "
+                       f"deflated to {BASE_YEAR} dollars with it, so it must list {BASE_YEAR}")
         p.add_argument("--groups", default=str(data_dir / "groups.cfg"),
                        help="technology grouping config (default: bundled)")
-        p.add_argument("--base-year", type=int, default=2018,
-                       help="constant-dollar base year (default 2018)")
 
     def add_format_flag(p):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text",
@@ -130,9 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    """The dataset and the reference config of a subcommand that takes --config."""
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
-    return dataset, load_reference(args.config)
+    """The dataset and the reference config of a subcommand that takes --config.
+
+    Each begin-year override must name a technology of the dataset and a year
+    no later than its peak, unless none names one (a config for other data).
+    """
+    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
+    ref = load_reference(args.config)
+    if any(name in dataset.series for name in ref.a_overrides):
+        for name, year in ref.a_overrides.items():
+            try:
+                detect_events(dataset.series_for(name), a_override=year)
+            except TechCycleError as exc:
+                raise TechCycleError(f"{args.config}: a_override.{name}: {exc}") from None
+    return dataset, ref
 
 
 def _emit(args, mapping: dict, text: str) -> None:
@@ -140,7 +152,7 @@ def _emit(args, mapping: dict, text: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
+    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     formats = sorted({r.format for r in dataset.records})
     grouped = {fmt for g in dataset.groups for fmt in g.formats}
     ungrouped = [fmt for fmt in formats if fmt not in grouped]
@@ -167,7 +179,7 @@ def _pair(args, dataset):
 
 
 def cmd_fit(args) -> int:
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups, args.base_year)
+    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     window = parse_window_spec(args.window)
     old, new = _pair(args, dataset)
     fit = fit_substitution(new, old, window=window, tolerance=args.tolerance)

@@ -84,7 +84,7 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
     return groups
 
 
-def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
+def load_cpi_csv(path: str | Path) -> CpiTable:
     """Read a ``year,index`` CSV into a CPI table."""
     entries: dict[int, float] = {}
     reader = csv.reader(io.StringIO(_read_text(path)))
@@ -105,7 +105,7 @@ def load_cpi_csv(path: str | Path, base_year: int = 2018) -> CpiTable:
             raise TechCycleError(f"{path}: duplicate CPI year {year}")
         entries[year] = index
     try:
-        return CpiTable(entries=entries, base_year=base_year)
+        return CpiTable(entries=entries)
     except TechCycleError as exc:
         raise TechCycleError(f"{path}: {exc}") from None
 

@@ -21,6 +21,7 @@ REVENUE_HEADER = ("year", "format", "revenue_nominal_musd", "revenue_real_musd",
 
 YEAR_MIN = 1900
 YEAR_MAX = 2100
+BASE_YEAR = 2018  # the dollars of ``revenue_real_musd``; nominal-only rows are deflated to them
 
 
 @frozen
@@ -107,26 +108,23 @@ class TechnologyGroup:
 
 @frozen
 class CpiTable:
-    """Annual price index used to express revenue in base-year dollars."""
+    """Annual price index used to express revenue in ``BASE_YEAR`` dollars."""
 
     entries: Mapping[int, float]
-    base_year: int = 2018
 
     def __post_init__(self):
         ordered = dict(sorted(self.entries.items()))
         for year, value in ordered.items():
             if not math.isfinite(value) or value <= 0:
                 raise TechCycleError(f"CPI index for {year} must be positive")
-        if self.base_year not in ordered:
-            raise TechCycleError(f"CPI table lacks its base year {self.base_year}")
+        if BASE_YEAR not in ordered:
+            raise TechCycleError(f"CPI table lacks its base year {BASE_YEAR}")
         object.__setattr__(self, "entries", MappingProxyType(ordered))
 
-    def deflator(self, year: int, base_year: int | None = None) -> float:
-        base = self.base_year if base_year is None else base_year
-        for needed in (year, base):
-            if needed not in self.entries:
-                raise TechCycleError(f"no CPI index for year {needed}")
-        return self.entries[base] / self.entries[year]
+    def deflator(self, year: int) -> float:
+        if year not in self.entries:
+            raise TechCycleError(f"no CPI index for year {year}")
+        return self.entries[BASE_YEAR] / self.entries[year]
 
 
 def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
@@ -175,10 +173,8 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
     return records
 
 
-def adjust_inflation(
-    records: list[RevenueRecord], cpi: CpiTable, base_year: int
-) -> list[RevenueRecord]:
-    """Fill ``revenue_real`` from ``revenue_nominal`` at base-year dollars.
+def adjust_inflation(records: list[RevenueRecord], cpi: CpiTable) -> list[RevenueRecord]:
+    """Fill ``revenue_real`` from ``revenue_nominal`` in ``BASE_YEAR`` dollars.
 
     Records that already carry a real value pass through unchanged, so the
     operation is idempotent.
@@ -188,7 +184,7 @@ def adjust_inflation(
         if record.revenue_real is not None:
             adjusted.append(record)
             continue
-        factor = cpi.deflator(record.year, base_year)
+        factor = cpi.deflator(record.year)
         adjusted.append(
             RevenueRecord(
                 year=record.year,
@@ -201,9 +197,7 @@ def adjust_inflation(
     return adjusted
 
 
-def aggregate_group(
-    records: list[RevenueRecord], group: TechnologyGroup, base_year: int
-) -> RevenueSeries:
+def aggregate_group(records: list[RevenueRecord], group: TechnologyGroup) -> RevenueSeries:
     """Sum constant-dollar revenue of the group's formats, year by year.
 
     Years in which no member format reports are absent from the result,
@@ -225,7 +219,7 @@ def aggregate_group(
         raise TechCycleError(
             f"group {group.name!r} matched no record (formats: {', '.join(group.formats)})"
         )
-    return RevenueSeries(technology=group.name, base_year=base_year, points=totals)
+    return RevenueSeries(technology=group.name, base_year=BASE_YEAR, points=totals)
 
 
 def positive_overlap_window(a: RevenueSeries, b: RevenueSeries) -> tuple[int, int] | None:

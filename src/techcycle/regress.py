@@ -160,7 +160,7 @@ def _betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-15) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     """Lentz's continued fraction for the incomplete beta integral."""
     tiny = 1e-300
     qab = a + b
@@ -172,7 +172,7 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 301):
         m2 = 2 * m
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + num * d
@@ -193,6 +193,6 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < 1e-15:
             return h
     return h

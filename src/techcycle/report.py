@@ -28,7 +28,6 @@ from .cycle import (
 from .errors import TechCycleError
 from .growth import SubstitutionFit, fit_substitution
 from .market_data import (
-    CpiTable,
     RevenueRecord,
     RevenueSeries,
     TechnologyGroup,
@@ -46,10 +45,8 @@ class Dataset:
     """Parsed inputs plus one constant-dollar series per technology."""
 
     records: tuple[RevenueRecord, ...]
-    cpi: CpiTable
     groups: tuple[TechnologyGroup, ...]
     series: dict[str, RevenueSeries]
-    base_year: int
 
     def series_for(self, combo: str) -> RevenueSeries:
         """Resolve a technology name, or a '+'-joined combination of distinct names."""
@@ -68,24 +65,19 @@ class Dataset:
         return merge_series("+".join(names), [self.series[name] for name in names])
 
 
-def load_dataset(
-    data_path: str | Path,
-    cpi_path: str | Path,
-    groups_path: str | Path,
-    base_year: int = 2018,
-) -> Dataset:
+def load_dataset(data_path: str | Path, cpi_path: str | Path, groups_path: str | Path) -> Dataset:
     records = load_revenue_csv(data_path)
-    cpi = load_cpi_csv(cpi_path, base_year=base_year)
+    cpi = load_cpi_csv(cpi_path)
     groups = load_groups(groups_path)
-    adjusted = adjust_inflation(records, cpi, base_year)
-    series = {g.name: aggregate_group(adjusted, g, base_year) for g in groups}
-    return Dataset(
-        records=tuple(records),
-        cpi=cpi,
-        groups=tuple(groups),
-        series=series,
-        base_year=base_year,
-    )
+    try:
+        adjusted = adjust_inflation(records, cpi)
+    except TechCycleError as exc:
+        raise TechCycleError(f"{cpi_path}: {exc}") from None
+    try:
+        series = {g.name: aggregate_group(adjusted, g) for g in groups}
+    except TechCycleError as exc:
+        raise TechCycleError(f"{groups_path}: {exc}") from None
+    return Dataset(records=tuple(records), groups=tuple(groups), series=series)
 
 
 @frozen

@@ -14,12 +14,7 @@ def data_dir():
 
 @pytest.fixture(scope="session")
 def dataset(data_dir):
-    return load_dataset(
-        data_dir / "riaa_revenue.csv",
-        data_dir / "cpi.csv",
-        data_dir / "groups.cfg",
-        base_year=2018,
-    )
+    return load_dataset(data_dir / "riaa_revenue.csv", data_dir / "cpi.csv", data_dir / "groups.cfg")
 
 
 @pytest.fixture(scope="session")

@@ -232,6 +232,21 @@ def test_config_value_out_of_domain_exits_2(data_dir, tmp_path, capsys, command,
     assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["fit", "--old", "cassette", "--new", "cd"],
+    ["cycles"],
+    ["crossover", "--old", "cd", "--new", "download"],
+    ["report", "--out", "{tmp}"],
+])
+def test_base_year_flag_removed(tmp_path, capsys, argv):
+    # The dollar basis is the data's: revenue_real_musd is in 2018 dollars.
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv] + ["--base-year", "2018"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --base-year" in capsys.readouterr().err
+
+
 class TestCrossover:
     def test_8_track_cassette(self, capsys):
         code, out, _ = run_cli("crossover", "--old", "8-track", "--new", "cassette",

@@ -169,15 +169,15 @@ CLI = {
     ),
     "cpi-missing-year": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
-        "error: no CPI index for year 2000\n",
+        "error: {tmp}/cpi.csv: no CPI index for year 2000\n",
     ),
     "cpi-missing-base-year": (
-        ["validate", "--base-year", "1900"], {}, 2,
-        "error: {data}/cpi.csv: CPI table lacks its base year 1900\n",
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
+        "error: {tmp}/cpi.csv: CPI table lacks its base year 2018\n",
     ),
     "group-matches-nothing": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n"), 2,
-        "error: group 'new' matched no record (formats: New)\n",
+        "error: {tmp}/groups.cfg: group 'new' matched no record (formats: New)\n",
     ),
     "constant-regressor": (
         ["fit", *TINY, "--old", "old", "--new", "new"],
@@ -197,7 +197,13 @@ CLI = {
     "begin-after-peak": (
         ["cycles", "--config", "{tmp}/r.cfg"],
         reference("a_override.cassette", "a_override.cassette = 2000"), 2,
-        "error: cassette: begin 2000 after peak 1990\n",
+        "error: {tmp}/r.cfg: a_override.cassette: cassette: begin 2000 after peak 1990\n",
+    ),
+    "override-unknown-technology": (
+        ["cycles", "--config", "{tmp}/r.cfg"],
+        reference("a_override.cassette", "a_override.casette = 1964"), 2,
+        f"error: {{tmp}}/r.cfg: a_override.casette: unknown technology 'casette'; "
+        f"known: {KNOWN}\n",
     ),
     "reversed-window": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1984"], {}, 2,

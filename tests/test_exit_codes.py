@@ -66,7 +66,6 @@ def test_fuzzed_input_keeps_exit_contract(name, data, workdir):
 YEARS = st.one_of(st.integers(-10, 2030), st.integers(-10**12, 10**12))
 # windows may be reversed, lie outside the data, or span a trillion years
 WINDOWS = st.one_of(st.just("auto"), st.tuples(YEARS, YEARS).map("{0[0]}:{0[1]}".format))
-BASE_YEARS = st.one_of(st.just(2018), st.just(1973), YEARS)  # CPI covers 1973-2019
 EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1.0, 1e-300])
 NAMES = st.lists(
     st.sampled_from(["cd", "cassette", "streaming", "download", "betamax", "", " cd "]),
@@ -80,14 +79,13 @@ def out_of_domain_argv(draw, out) -> list[str]:
 
     Values go in ``--flag=value`` form, so a leading ``-`` is not read as a flag.
     """
-    base = f"--base-year={draw(BASE_YEARS)}"
     pair = [f"--old={draw(NAMES)}", f"--new={draw(NAMES)}"]
     return draw(st.sampled_from([
-        ["validate", base],
-        ["cycles", base],
-        ["report", base, f"--out={out}"],
-        ["crossover", base, *pair],
-        ["fit", base, *pair, f"--window={draw(WINDOWS)}", f"--tolerance={draw(EDGE_FLOATS)}"],
+        ["validate"],
+        ["cycles"],
+        ["report", f"--out={out}"],
+        ["crossover", *pair],
+        ["fit", *pair, f"--window={draw(WINDOWS)}", f"--tolerance={draw(EDGE_FLOATS)}"],
         ["simulate", f"--scenario={INPUTS['scenario'][0]}",
          f"--early-fraction={draw(EDGE_FLOATS)}", f"--window={draw(WINDOWS)}"],
     ]))

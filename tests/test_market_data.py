@@ -1,11 +1,14 @@
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techcycle.config import load_cpi_csv
 from techcycle.errors import TechCycleError
 from techcycle.market_data import (
+    BASE_YEAR,
     CpiTable,
     RevenueRecord,
     RevenueSeries,
@@ -124,29 +127,29 @@ class TestRecordValidation:
 
 
 class TestAdjustInflation:
-    cpi = CpiTable(entries={1999: 50.0, 2000: 100.0, 2018: 100.0}, base_year=2018)
+    cpi = CpiTable(entries={1999: 50.0, 2000: 100.0, 2018: 100.0})
 
     def test_base_year_is_identity(self):
         records = [RevenueRecord(year=2018, format="CD", revenue_nominal=100.0)]
-        (out,) = adjust_inflation(records, self.cpi, 2018)
+        (out,) = adjust_inflation(records, self.cpi)
         assert out.revenue_real == 100.0
 
     def test_ratio_arithmetic(self):
         records = [RevenueRecord(year=1999, format="CD", revenue_nominal=100.0)]
-        (out,) = adjust_inflation(records, self.cpi, 2018)
+        (out,) = adjust_inflation(records, self.cpi)
         assert out.revenue_real == pytest.approx(200.0)
 
     def test_existing_real_passes_through(self):
         records = [RevenueRecord(year=1999, format="CD", revenue_nominal=100.0,
                                  revenue_real=123.0)]
-        assert adjust_inflation(records, self.cpi, 2018) == records
+        assert adjust_inflation(records, self.cpi) == records
 
     def test_missing_cpi_year_named(self):
         records = [RevenueRecord(year=1970, format="CD", revenue_nominal=1.0)]
         with pytest.raises(TechCycleError, match="1970"):
-            adjust_inflation(records, self.cpi, 2018)
+            adjust_inflation(records, self.cpi)
 
-    def test_bundled_vinyl_single_1979(self, dataset):
+    def test_bundled_vinyl_single_1979(self, dataset, data_dir):
         # Deflating the bundled 1979 nominal value must land on the known
         # constant-dollar peak within 2%.
         nominal = next(
@@ -155,8 +158,22 @@ class TestAdjustInflation:
         )
         stripped = [RevenueRecord(year=1979, format="Vinyl Single",
                                   revenue_nominal=nominal)]
-        (out,) = adjust_inflation(stripped, dataset.cpi, 2018)
+        (out,) = adjust_inflation(stripped, load_cpi_csv(data_dir / "cpi.csv"))
         assert out.revenue_real == pytest.approx(353.6, rel=0.02)
+
+    def test_bundled_real_column_is_in_base_year_dollars(self, dataset, data_dir):
+        # BASE_YEAR is a fact of the data: deflating the bundled nominal column
+        # to it reproduces the bundled real column, row by row.
+        assert BASE_YEAR == 2018
+        cpi = load_cpi_csv(data_dir / "cpi.csv")
+        gaps = [
+            abs(r.revenue_nominal * cpi.deflator(r.year) / r.revenue_real - 1.0)
+            for r in dataset.records
+            if r.revenue_nominal is not None and r.revenue_real
+        ]
+        assert len(gaps) == 326
+        assert statistics.median(gaps) < 1e-3
+        assert sum(gap <= 0.01 for gap in gaps) >= 320
 
     def test_order_independence_of_deflation_and_summation(self):
         # Deflate-then-sum equals sum-then-deflate for same-year records.
@@ -165,9 +182,9 @@ class TestAdjustInflation:
             RevenueRecord(year=1999, format="CD Single", revenue_nominal=80.0),
         ]
         group = TechnologyGroup(name="cd", formats=("CD", "CD Single"))
-        adjusted = adjust_inflation(records, self.cpi, 2018)
-        series = aggregate_group(adjusted, group, 2018)
-        direct = (120.0 + 80.0) * self.cpi.deflator(1999, 2018)
+        adjusted = adjust_inflation(records, self.cpi)
+        series = aggregate_group(adjusted, group)
+        direct = (120.0 + 80.0) * self.cpi.deflator(1999)
         assert series.value(1999) == pytest.approx(direct, rel=1e-9)
 
 
@@ -178,34 +195,34 @@ class TestAggregateGroup:
     def test_additivity(self):
         records = self.adjusted([(2000, "CD", 500.0), (2000, "CD Single", 50.0)])
         group = TechnologyGroup(name="cd", formats=("CD", "CD Single"))
-        series = aggregate_group(records, group, 2018)
+        series = aggregate_group(records, group)
         assert dict(series.points) == {2000: 550.0}
 
     def test_singleton_identity(self):
         records = self.adjusted([(2000, "CD", 500.0), (2001, "CD", 400.0),
                                  (2000, "Cassette", 99.0)])
         group = TechnologyGroup(name="cd", formats=("CD",))
-        series = aggregate_group(records, group, 2018)
+        series = aggregate_group(records, group)
         assert dict(series.points) == {2000: 500.0, 2001: 400.0}
 
     def test_years_without_members_absent(self):
         records = self.adjusted([(2000, "CD", 1.0), (2002, "CD", 2.0)])
         group = TechnologyGroup(name="cd", formats=("CD",))
-        series = aggregate_group(records, group, 2018)
+        series = aggregate_group(records, group)
         assert series.value(2001) is None
         assert series.gap_years == (2001,)
 
     def test_empty_group_rejected(self):
         records = self.adjusted([(2000, "CD", 1.0)])
         with pytest.raises(TechCycleError, match="8-track"):
-            aggregate_group(records, TechnologyGroup(name="8-track", formats=("8-Track",)), 2018)
+            aggregate_group(records, TechnologyGroup(name="8-track", formats=("8-Track",)))
 
     def test_permutation_invariance(self):
         rows = [(2000, "CD", 1.0), (2001, "CD", 2.0), (2000, "CD Single", 3.0),
                 (2002, "CD Single", 4.0)]
         group = TechnologyGroup(name="cd", formats=("CD", "CD Single"))
-        forward = aggregate_group(self.adjusted(rows), group, 2018)
-        backward = aggregate_group(self.adjusted(rows[::-1]), group, 2018)
+        forward = aggregate_group(self.adjusted(rows), group)
+        backward = aggregate_group(self.adjusted(rows[::-1]), group)
         assert dict(forward.points) == dict(backward.points)
 
     def test_bundled_streaming_2015(self, dataset):
@@ -276,13 +293,8 @@ class TestSeriesValidation:
 class TestCpiTable:
     def test_base_year_must_be_present(self):
         with pytest.raises(TechCycleError, match="base year"):
-            CpiTable(entries={2000: 100.0}, base_year=2018)
+            CpiTable(entries={2000: 100.0})
 
     def test_nonpositive_index_rejected(self):
         with pytest.raises(TechCycleError, match="CPI index for 2018 must be positive"):
-            CpiTable(entries={2018: 0.0}, base_year=2018)
-
-    def test_deflation_multiplicative(self):
-        cpi = CpiTable(entries={2000: 50.0, 2009: 80.0, 2018: 100.0}, base_year=2018)
-        via_mid = cpi.deflator(2000, 2009) * cpi.deflator(2009, 2018)
-        assert via_mid == pytest.approx(cpi.deflator(2000, 2018), rel=1e-12)
+            CpiTable(entries={2018: 0.0})
