@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old", required=True, help="established technology")
     p.add_argument("--new", required=True, help="disruptive technology")
     p.add_argument("--window", default="auto", help="Y1:Y2 or 'auto' (default)")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="half-width of the proportional-regime band (default 0.05)")
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("cycles", help="lifecycle table for every technology")
@@ -114,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format_flag(p)
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--early-fraction", type=float, default=0.1,
-                   help="early-window cutoff as a fraction of capacity (default 0.1)")
     p.add_argument("--window", default=None, help="explicit fit window Y1:Y2")
     p.add_argument("--out", default=None, help="directory for generated series CSV")
     p.set_defaults(handler=cmd_simulate)
@@ -182,7 +178,7 @@ def cmd_fit(args) -> int:
     dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     window = parse_window_spec(args.window)
     old, new = _pair(args, dataset)
-    fit = fit_substitution(new, old, window=window, tolerance=args.tolerance)
+    fit = fit_substitution(new, old, window=window)
     label = f"{args.new} vs {args.old}"
     _emit(args, report_mod.fit_to_mapping(fit, label), report_mod.render_fit_text(fit, label))
     return EXIT_OK
@@ -227,7 +223,7 @@ def cmd_simulate(args) -> int:
         values["seed"] = str(args.seed)
     scenario = scenario_from_mapping(values)
     window = parse_window_spec(args.window) if args.window else None
-    result = recovery_experiment(scenario, early_fraction=args.early_fraction, window=window)
+    result = recovery_experiment(scenario, window=window)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

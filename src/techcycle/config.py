@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
+import re
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
 from .errors import TechCycleError
-from .market_data import CpiTable, RevenueRecord, TechnologyGroup, parse_revenue_table
+from .market_data import (YEAR_MAX, YEAR_MIN, CpiTable, RevenueRecord, TechnologyGroup,
+                          parse_revenue_table)
 
 __all__ = [
     "read_kv_file",
@@ -65,10 +66,18 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
 
 
 def load_groups(path: str | Path) -> list[TechnologyGroup]:
-    """Read technology groups; a format may belong to at most one group."""
+    """Read technology groups; a format may belong to at most one group.
+
+    A name is also a flag value, part of config keys and pair lists, and a
+    file name, so it may hold only ASCII letters, digits, '-' and '_'.
+    """
     groups: list[TechnologyGroup] = []
     claimed: dict[str, str] = {}
     for name, value in read_kv_file(path).items():
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+            raise TechCycleError(
+                f"{path}: group name {name!r} may hold only ASCII letters, digits, '-' and '_'"
+            )
         formats = tuple(f.strip() for f in value.split(";") if f.strip())
         if not formats:
             raise TechCycleError(f"{path}: group {name!r} lists no formats")
@@ -154,7 +163,6 @@ class ReferenceConfig:
     """
 
     end_threshold_rel: float = 0.01
-    regime_tolerance: float = 0.05
     table1_old: str = "cassette"
     table1_new: str = "cd"
     table1_window: tuple[int, int] | None = None
@@ -184,6 +192,13 @@ def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return tuple(pairs)
 
 
+def _parse_year(value: str) -> int:
+    year = int(value)
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise ValueError(f"{year} is not in [{YEAR_MIN}, {YEAR_MAX}]")
+    return year
+
+
 # Parsers of the keys whose value is not read as the type of their default.
 _PARSERS = {
     "table1_window": parse_window_spec,
@@ -202,7 +217,7 @@ def load_reference(path: str | Path) -> ReferenceConfig:
     a_overrides: dict[str, int] = {}
     for key, value in read_kv_file(path).items():
         if key.startswith("a_override."):
-            target, name, parse = a_overrides, key[len("a_override."):], int
+            target, name, parse = a_overrides, key[len("a_override."):], _parse_year
         elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
             target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
         else:
@@ -218,7 +233,6 @@ def load_reference(path: str | Path) -> ReferenceConfig:
             raise TechCycleError(f"{path}: {table}_old and {table}_new both name {shared!r}")
     for key, ok, domain in (  # each test is also false for nan
         ("end_threshold_rel", 0.0 < ref.end_threshold_rel < 1.0, "(0, 1)"),
-        ("regime_tolerance", 0.0 < ref.regime_tolerance < math.inf, "(0, inf)"),
         ("dp_residual_max", 0.0 <= ref.dp_residual_max <= 1.0, "[0, 1]"),
     ):
         if not ok:

@@ -280,7 +280,6 @@ def fit_substitution(
     disruptive: RevenueSeries,
     established: RevenueSeries,
     window: tuple[int, int] | None = None,
-    tolerance: float = 0.05,
 ) -> SubstitutionFit:
     """Log-log least squares of the disruptive series on the established one.
 
@@ -318,23 +317,24 @@ def fit_substitution(
         b_exponent=fit.slope,
         fit=fit,
         window=(first, last),
-        regime=classify_regime(fit.slope, tolerance),
+        regime=classify_regime(fit.slope),
     )
 
 
-def classify_regime(b: float, tolerance: float = 0.05) -> Regime:
+_PROPORTIONAL_BAND = 0.05  # |B - 1| up to this band, inclusive, reads as proportional
+
+
+def classify_regime(b: float) -> Regime:
     """Map a substitution exponent to its qualitative regime.
 
     Negative exponents get their own label: the established technology
     shrinks while the disruptor grows, which is economically distinct from
     slow positive coupling.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise TechCycleError(f"tolerance must be positive, got {tolerance}")
     if b < 0.0:
         return Regime.NEGATIVE_COUPLING
-    if abs(b - 1.0) <= tolerance:
-        return Regime.PROPORTIONAL
-    if b < 1.0 - tolerance:
+    if b < 1.0 - _PROPORTIONAL_BAND:
         return Regime.LOW_GROWTH
+    if b <= 1.0 + _PROPORTIONAL_BAND:
+        return Regime.PROPORTIONAL
     return Regime.ACCELERATION

@@ -189,13 +189,11 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
         dataset.series_for(ref.table1_new),
         dataset.series_for(ref.table1_old),
         window=ref.table1_window,
-        tolerance=ref.regime_tolerance,
     )
     table2 = fit_substitution(
         dataset.series_for(ref.table2_new),
         dataset.series_for(ref.table2_old),
         window=ref.table2_window,
-        tolerance=ref.regime_tolerance,
     )
     rows = table3(dataset, ref)
     shares = [
@@ -437,7 +435,7 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
         written.append(path)
 
     for name in sorted(dataset.series):
-        path = plots / f"{_safe(name)}.csv"
+        path = plots / f"{name}.csv"
         path.write_text(series_to_csv(dataset.series[name], "revenue_real_musd"), encoding="utf-8")
         written.append(path)
     return written
@@ -451,10 +449,6 @@ def series_to_csv(series: RevenueSeries, column: str) -> str:
 
 def _ext(fmt: str) -> str:
     return {"text": "txt", "csv": "csv", "json": "json"}.get(fmt, fmt)
-
-
-def _safe(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
 
 
 def render(fmt: str, mapping: dict, text: str) -> str:

@@ -17,6 +17,7 @@ from .market_data import RevenueSeries
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MAX_YEARS = 10_000
+_MAX_ABS_YEAR = 10**6
 _SCENARIO_KEYS = {"k1", "a1", "b1", "k2", "a2", "b2", "year_start", "year_end", "noise_rel", "seed"}
 
 
@@ -50,6 +51,10 @@ class SyntheticScenario:
         if last - first >= _MAX_YEARS:
             raise TechCycleError(
                 f"year range {self.years} covers {last - first + 1} years; at most {_MAX_YEARS}"
+            )
+        if first < -_MAX_ABS_YEAR or last > _MAX_ABS_YEAR:
+            raise TechCycleError(
+                f"year range {self.years} is not within [-{_MAX_ABS_YEAR}, {_MAX_ABS_YEAR}]"
             )
         if not (0.0 <= self.noise_rel < 1.0):
             raise TechCycleError(f"noise_rel must be in [0, 1), got {self.noise_rel}")
@@ -117,7 +122,7 @@ def recovery_experiment(
         # a window reaching past the scenario's years leaves those years absent
         old_series, new_series = _realize(s, max(window[0], s.years[0]), min(window[1], s.years[1]))
         fit = fit_substitution(new_series, old_series, window=window)
-    except Exception as exc:
+    except TechCycleError as exc:
         raise WindowError(f"window {window} not fittable: {exc}") from exc
     b_theoretical = implied_exponent(s.p_old, s.p_new)
     # both curves rise with t (b > 0), so the window's last year holds the highest level

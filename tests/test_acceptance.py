@@ -132,13 +132,11 @@ def test_criterion_3_regression_targets(dataset, reference):
         dataset.series_for(reference.table1_new),
         dataset.series_for(reference.table1_old),
         window=reference.table1_window,
-        tolerance=reference.regime_tolerance,
     )
     stream_fit = fit_substitution(
         dataset.series_for(reference.table2_new),
         dataset.series_for(reference.table2_old),
         window=reference.table2_window,
-        tolerance=reference.regime_tolerance,
     )
     elapsed = time.perf_counter() - start
 

@@ -215,8 +215,7 @@ class TestStandardJson:
 @pytest.mark.parametrize("command, line, message", [
     ("cycles", "end_threshold_rel = nan", "end_threshold_rel: nan is not in (0, 1)"),
     ("cycles", "end_threshold_rel = 1", "end_threshold_rel: 1.0 is not in (0, 1)"),
-    ("report", "regime_tolerance = -1", "regime_tolerance: -1.0 is not in (0, inf)"),
-    ("report", "regime_tolerance = inf", "regime_tolerance: inf is not in (0, inf)"),
+    ("cycles", "a_override.cassette = -5000", "a_override.cassette: -5000 is not in [1900, 2100]"),
     ("report", "table3_pairs = cd:cd", "table3_pairs: pair 'cd:cd' pairs a technology with itself"),
 ])
 def test_config_value_out_of_domain_exits_2(data_dir, tmp_path, capsys, command, line, message):
@@ -245,6 +244,20 @@ def test_base_year_flag_removed(tmp_path, capsys, argv):
         main([arg.format(tmp=tmp_path) for arg in argv] + ["--base-year", "2018"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --base-year" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--old", "cassette", "--new", "cd", "--tolerance", "0.05"], "--tolerance"),
+    (["simulate", "--scenario", "{scenario}", "--early-fraction", "0.1"], "--early-fraction"),
+])
+def test_regime_band_and_early_fraction_flags_removed(data_dir, capsys, argv, flag):
+    # The proportional band is fixed in growth.py; the early window's fraction
+    # is recovery_experiment's default.
+    scenario = data_dir / "scenarios" / "dual_logistic_demo.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(scenario=scenario) for arg in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCrossover:

@@ -25,7 +25,7 @@ RECORDS = [
     (
         ReferenceConfig,
         (),
-        "ReferenceConfig(end_threshold_rel=0.01, regime_tolerance=0.05, "
+        "ReferenceConfig(end_threshold_rel=0.01, "
         "table1_old='cassette', table1_new='cd', table1_window=None, table2_old='cd', "
         "table2_new='streaming', table2_window=None, table3_pairs=(), dp_residual_max=0.1, "
         "a_overrides=mappingproxy({}))",

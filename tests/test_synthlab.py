@@ -75,6 +75,17 @@ class TestGenerateScenario:
         with pytest.raises(TechCycleError, match="at most 10000"):
             scenario(years=(0, 100_000_000))
 
+    @pytest.mark.parametrize("years", [(10**400, 10**400 + 40), (1_000_001, 1_000_002),
+                                       (-1_000_001, -1_000_000)])
+    def test_years_beyond_a_million_rejected(self, years):
+        # float(year) must not overflow in the curves
+        with pytest.raises(TechCycleError, match=r"is not within \[-1000000, 1000000\]$"):
+            scenario(years=years)
+
+    def test_years_at_a_million_accepted(self):
+        assert scenario(years=(-1_000_000, -999_990)).years == (-1_000_000, -999_990)
+        assert scenario(years=(999_990, 1_000_000)).years == (999_990, 1_000_000)
+
 
 class TestRecoveryExperiment:
     def test_ratio_two_early_window(self):
@@ -152,6 +163,16 @@ class TestRecoveryExperiment:
         fit = fit_substitution(new, old, window=(first, last))
         assert report.b_fitted == fit.b_exponent
         assert report.abs_gap == abs(fit.b_exponent - report.b_theoretical)
+
+    def test_internal_fault_is_not_reported_as_unfittable(self, monkeypatch):
+        import techcycle.synthlab as synthlab
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("internal fault")
+
+        monkeypatch.setattr(synthlab, "fit_substitution", broken)
+        with pytest.raises(ZeroDivisionError):
+            recovery_experiment(scenario(), window=(0, 10))
 
     @pytest.mark.parametrize("window", [(5000, 5010), (35, 45), (-5, 5)])
     def test_window_outside_the_years_not_fittable(self, window):
