@@ -143,6 +143,16 @@ def _load_inputs(args):
     return dataset, ref
 
 
+def _check_names(args, dataset, key: str, names) -> None:
+    """Each of ``names``, read from the config's ``key``, must name technologies
+    of the dataset; an error names the config file and the key."""
+    for name in names:
+        try:
+            dataset.technologies_for(name)
+        except TechCycleError as exc:
+            raise TechCycleError(f"{args.config}: {key}: {exc}") from None
+
+
 def _emit(args, mapping: dict, text: str) -> None:
     print(report_mod.render(args.format, mapping, text), end="")
 
@@ -197,6 +207,8 @@ def cmd_cycles(args) -> int:
 def cmd_crossover(args) -> int:
     dataset, ref = _load_inputs(args)
     _pair(args, dataset)
+    pairs = report_mod.table3_pairs(dataset, ref, last=(args.old, args.new))
+    _check_names(args, dataset, "table3_pairs", [name for pair in pairs for name in pair])
     row = report_mod.table3(dataset, ref, last=(args.old, args.new))[-1]
     cross = row.crossover
     if cross is None:
@@ -252,6 +264,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     dataset, ref = _load_inputs(args)
+    for key in ("table1_old", "table1_new", "table2_old", "table2_new"):
+        _check_names(args, dataset, key, [getattr(ref, key)])
+    pairs = report_mod.table3_pairs(dataset, ref)
+    _check_names(args, dataset, "table3_pairs", [name for pair in pairs for name in pair])
     market = report_mod.build_report(dataset, ref)
     written = report_mod.write_report(market, dataset, args.out, args.format)
     for path in written:

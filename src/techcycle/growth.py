@@ -136,7 +136,7 @@ def log_odds(p: LogisticParams, t: float) -> float:
 # fit_logistic's search of u = log((k - max) / max): from k = max * (1 + 1e-6) to k = 5 * max
 _U_LO, _U_HI = math.log(1e-6), math.log(4.0)
 _SCAN_POINTS = 8
-_U_TOL = 1e-11  # the search's u-resolution
+_K_TOL = 1e-11  # the search's resolution of k, relative to k
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, as a share of the larger side
 
 
@@ -147,15 +147,17 @@ def _brent_min(f, lo: float, hi: float, x: float, fx: float) -> None:
     Derivatives*, ch. 5): each step goes to the vertex of the parabola
     through the three best points so far, or, where that vertex falls
     outside the bracket or the steps stop shrinking, a golden-section step
-    into the larger side.  No two evaluations are closer than ``_U_TOL``;
-    the search stops once the bracket lies within ``2 * _U_TOL`` of the
-    best point.  Nothing is returned: ``f`` records what it evaluates.
+    into the larger side.  As in Brent, the tolerance is set from the best
+    point ``x`` on each step: ``x`` is ``u = log(k - 1)`` on the unit-max
+    scale, so ``tol = _K_TOL * (1 + exp(-x))`` is the u-step that moves k
+    by ``_K_TOL * k``.  No two evaluations are closer than ``tol``; the
+    search stops once the bracket lies within ``2 * tol`` of the best
+    point.  Nothing is returned: ``f`` records what it evaluates.
     """
-    tol = _U_TOL
     w = v = x
     fw = fv = fx
     d = e = 0.0
-    while max(x - lo, hi - x) > 2.0 * tol:
+    while max(x - lo, hi - x) > 2.0 * (tol := _K_TOL * (1.0 + math.exp(-x))):
         mid = 0.5 * (lo + hi)
         golden = True
         if abs(e) > tol:
@@ -196,8 +198,8 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
     ``(max, 5 * max]``, searched as ``u = log((k - max) / max)``: a scan of
     8 evenly spaced u values from ``k = max * (1 + 1e-6)`` to
     ``k = 5 * max``, then Brent's method on the bracket around the best
-    scan point down to a u-resolution of 1e-11.  The lowest-SSE candidate
-    evaluated wins.  Deterministic throughout.
+    scan point down to a resolution of k of 1e-11 relative to k.  The
+    lowest-SSE candidate evaluated wins.  Deterministic throughout.
     """
     points = [(year, value) for year, value in series.points.items() if value > 0.0]
     n = len(points)
@@ -244,8 +246,6 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
         n_points=n,
         degenerate=not (b > 1e-12),
     )
-
-
 
 
 def odds_relation(p1: LogisticParams, p2: LogisticParams) -> OddsRelation:

@@ -48,8 +48,8 @@ class Dataset:
     groups: tuple[TechnologyGroup, ...]
     series: dict[str, RevenueSeries]
 
-    def series_for(self, combo: str) -> RevenueSeries:
-        """Resolve a technology name, or a '+'-joined combination of distinct names."""
+    def technologies_for(self, combo: str) -> list[str]:
+        """The technologies of a name, or of a '+'-joined combination of distinct names."""
         names = technology_names(combo)
         if not names:
             raise TechCycleError(f"{combo!r} names no technology")
@@ -60,6 +60,11 @@ class Dataset:
         if missing:
             known = ", ".join(sorted(self.series))
             raise TechCycleError(f"unknown technology {missing[0]!r}; known: {known}")
+        return names
+
+    def series_for(self, combo: str) -> RevenueSeries:
+        """Resolve a technology name, or a '+'-joined combination of distinct names."""
+        names = self.technologies_for(combo)
         if len(names) == 1:
             return self.series[names[0]]
         return merge_series("+".join(names), [self.series[name] for name in names])
@@ -156,12 +161,12 @@ def pair_row(
     )
 
 
-def table3(
+def table3_pairs(
     dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
-) -> list[PairRow]:
-    """Table 3: the config's pairs, else each group and the next.
+) -> list[tuple[str, str]]:
+    """Table 3's pairs: the config's, else each group and the next.
 
-    With ``last``, the rows up to that pair, or that pair alone if unlisted.
+    With ``last``, the pairs up to that pair, or that pair alone if unlisted.
     """
     if ref.table3_pairs:
         pairs = [(old, "+".join(new)) for old, new in ref.table3_pairs]
@@ -169,7 +174,15 @@ def table3(
         pairs = [(old.name, new.name) for old, new in zip(dataset.groups, dataset.groups[1:])]
     if last is not None:
         pairs = pairs[: pairs.index(last) + 1] if last in pairs else [last]
+    return pairs
+
+
+def table3(
+    dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
+) -> list[PairRow]:
+    """Table 3: one row for each of ``table3_pairs(dataset, ref, last)``."""
     counted: set[str] = set()
+    pairs = table3_pairs(dataset, ref, last)
     return [pair_row(dataset, ref, old, new, counted) for old, new in pairs]
 
 

@@ -329,6 +329,20 @@ class TestCrossover:
 
 
 class TestCycles:
+    @pytest.mark.parametrize("config", ["", "table3_pairs = cassette:cd\n"])
+    @pytest.mark.parametrize("command", [["cycles"], ["crossover", "--old", "vinyl", "--new",
+                                                      "cassette"]])
+    def test_tables_not_read_are_not_checked(self, twin_dataset, tmp_path, command, config,
+                                             capsys):
+        # the default Table 1 (cassette:cd) and Table 2 (cd:streaming) name
+        # technologies this data lacks, and the asked pair is not in Table 3
+        (twin_dataset / "groups.cfg").write_text("vinyl = Old\ncassette = New\n")
+        path = tmp_path / "e.cfg"
+        path.write_text(config)
+        code, _, err = run_cli(*command, *data_flags(twin_dataset), "--config", str(path),
+                               capsys=capsys)
+        assert (code, err) == (0, "")
+
     def test_footer_matches_recomputation_from_csv(self, capsys):
         code, out, _ = run_cli("cycles", "--format", "csv", capsys=capsys)
         assert code == 0

@@ -133,6 +133,10 @@ CLI = {
             ("report", "table3_pairs = cd:cd",
              "table3_pairs: pair 'cd:cd' pairs a technology with itself"),
             ("crossover", "dp_residual_max = nan", "dp_residual_max: nan is not in [0, 1]"),
+            ("report", "table1_new = cdd",
+             f"table1_new: unknown technology 'cdd'; known: {KNOWN}"),
+            ("crossover", "table3_pairs = vinyl:c.d; download:streaming",
+             f"table3_pairs: unknown technology 'c.d'; known: {KNOWN}"),
         )
     },
     "config-regime_tolerance-removed": (

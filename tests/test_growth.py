@@ -1,11 +1,13 @@
 import math
 import random
+import statistics
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from techcycle import growth
 from techcycle.cycle import detect_events
 from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.growth import (
@@ -90,10 +92,11 @@ def golden_section_fit(s):
     return k * vmax, sse * vmax * vmax, not (b > 1e-12)
 
 
-def noisy_scenario_series(count, seed=2024):
-    """Both series of ``count`` seeded noisy dual-logistic scenarios: 20-120
-    years, noise 1-10%, rate ratio 0.5-4, each curve at 10% of capacity
-    25-40% of the way through."""
+def scenario_series(count, seed=2024, noise=(0.01, 0.1)):
+    """Both series of ``count`` seeded dual-logistic scenarios, each with its
+    true parameters, as ``(series, params)``: 20-120 years, relative noise
+    drawn from the ``noise`` range, rate ratio 0.5-4, each curve at 10% of
+    capacity 25-40% of the way through."""
     rng = random.Random(seed)
     out = []
     for index in range(count):
@@ -104,9 +107,21 @@ def noisy_scenario_series(count, seed=2024):
             inflection = length * rng.uniform(0.25, 0.4) + math.log(9.0) / b
             params.append(LogisticParams(k=rng.uniform(500.0, 5000.0), a=b * inflection, b=b))
         scenario = SyntheticScenario(p_old=params[0], p_new=params[1], years=(0, length - 1),
-                                     noise_rel=rng.uniform(0.01, 0.1), seed=index)
-        out.extend(generate_scenario(scenario))
+                                     noise_rel=rng.uniform(*noise), seed=index)
+        out.extend(zip(generate_scenario(scenario), params))
     return out
+
+
+def search_corpus(dataset):
+    """112 series: both series of 50 noisy scenarios, and each bundled
+    technology whole and up to its peak."""
+    corpus = [s for s, _ in scenario_series(50)]
+    for whole in dataset.series.values():
+        peak = detect_events(whole).m_year or whole.last_year
+        up = {t: v for t, v in whole.points.items() if t <= peak}
+        corpus += [whole, series(up, whole.technology)]
+    assert len(corpus) == 112
+    return corpus
 
 
 class TestLogisticValue:
@@ -239,18 +254,39 @@ class TestFitLogistic:
         assert fit.sse <= (1.0 + 1e-9) * grid_min
 
     def test_matches_golden_section_search(self, dataset):
-        corpus = noisy_scenario_series(50)
-        for whole in dataset.series.values():
-            peak = detect_events(whole).m_year or whole.last_year
-            up = {t: v for t, v in whole.points.items() if t <= peak}
-            corpus += [whole, series(up, whole.technology)]
-        assert len(corpus) == 112
-        for s in corpus:
+        for s in search_corpus(dataset):
             ref_k, ref_sse, ref_degenerate = golden_section_fit(s)
             fit = fit_logistic(s)
             assert fit.degenerate == ref_degenerate
             assert abs(fit.k - ref_k) <= 1e-6 * ref_k
             assert fit.sse <= ref_sse * (1.0 + 1e-9)
+
+    def test_brent_evaluations_per_fit(self, dataset, monkeypatch):
+        # Brent stops at a k-resolution relative to k: about 14 evaluations per
+        # fit here, where a fixed u-resolution of 1e-11 took about 27.
+        calls = 0
+        brent_min = growth._brent_min
+
+        def counted(f, *args):
+            def f_counted(u):
+                nonlocal calls
+                calls += 1
+                return f(u)
+            brent_min(f_counted, *args)
+
+        monkeypatch.setattr(growth, "_brent_min", counted)
+        corpus = search_corpus(dataset)
+        for s in corpus:
+            fit_logistic(s)
+        assert calls / len(corpus) <= 16.0
+
+    def test_noise_free_growth_rate_precision(self):
+        # 17 of these 100 truths have k within 1e-6 of the series maximum,
+        # below the search's lower end, and so a b error of 2-39%; the median
+        # fit resolves b to about 1e-11.
+        errors = [abs(fit_logistic(s).b - p.b) / p.b
+                  for s, p in scenario_series(50, seed=1, noise=(0.0, 0.0))]
+        assert statistics.median(errors) <= 1e-10
 
 
 class TestOddsRelation:
