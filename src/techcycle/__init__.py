@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cycle": (
         "CrossoverResult", "CycleAggregate", "CycleEvents", "CycleSummary",
-        "aggregate_cycles", "crossover_year", "cycle_metrics", "detect_events",
-        "disruption_period",
+        "aggregate_cycles", "column_stats", "crossover_year", "cycle_metrics",
+        "detect_events",
     ),
     "growth": (
         "LogisticFit", "LogisticParams", "OddsRelation", "Regime", "SubstitutionFit",

@@ -209,14 +209,14 @@ def cmd_crossover(args) -> int:
     _pair(args, dataset)
     pairs = report_mod.table3_pairs(dataset, ref, last=(args.old, args.new))
     _check_names(args, dataset, "table3_pairs", [name for pair in pairs for name in pair])
-    row = report_mod.table3(dataset, ref, last=(args.old, args.new))[-1]
+    row = report_mod.table3(dataset, ref, pairs)[-1]
     cross = row.crossover
     if cross is None:
         text = "no crossover in data\n"
     else:
         if row.dp_note is None:
-            end = f"{row.end_year}{'*' if row.end_censored else ''}"
-            dp = f"{row.disruption_period} years (peak {row.peak_year}, end {end})"
+            end = f"{row.events.z_year}{'*' if row.events.censored else ''}"
+            dp = f"{row.disruption_period} years (peak {row.events.m_year}, end {end})"
         else:
             dp = f"not counted ({row.dp_note})"
         text = (
@@ -272,14 +272,12 @@ def cmd_report(args) -> int:
     written = report_mod.write_report(market, dataset, args.out, args.format)
     for path in written:
         print(f"wrote {path}")
-    if market.dp_mean is not None:
-        print(f"mean disruption period: {market.dp_mean:.2f} years")
-    agg = market.table4_aggregate
-    if agg.mean_up_share is not None and agg.mean_down_share is not None:
-        print(
-            f"cycle asymmetry: up wave {agg.mean_up_share:.2f}% of cycle, "
-            f"down wave {agg.mean_down_share:.2f}%"
-        )
+    dp_mean = market.table3_aggregate.mean["dp"]
+    if dp_mean is not None:
+        print(f"mean disruption period: {dp_mean:.2f} years")
+    up, down = market.table4_aggregate.mean["up_share"], market.table4_aggregate.mean["down_share"]
+    if up is not None and down is not None:
+        print(f"cycle asymmetry: up wave {up:.2f}% of cycle, down wave {down:.2f}%")
     return EXIT_OK
 
 

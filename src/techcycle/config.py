@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
+_NAME = re.compile(r"[A-Za-z0-9_-]+")  # the rule that load_groups states
+_NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"
 
 
 def _read_text(path: str | Path) -> str:
@@ -74,10 +76,8 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
     groups: list[TechnologyGroup] = []
     claimed: dict[str, str] = {}
     for name, value in read_kv_file(path).items():
-        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
-            raise TechCycleError(
-                f"{path}: group name {name!r} may hold only ASCII letters, digits, '-' and '_'"
-            )
+        if not _NAME.fullmatch(name):
+            raise TechCycleError(f"{path}: group name {name!r} {_NAME_RULE}")
         formats = tuple(f.strip() for f in value.split(";") if f.strip())
         if not formats:
             raise TechCycleError(f"{path}: group {name!r} lists no formats")
@@ -209,8 +209,8 @@ _PARSERS = {
 
 def load_reference(path: str | Path) -> ReferenceConfig:
     """Read a reference config: one key per ``ReferenceConfig`` field, with
-    ``a_override.<technology> = <year>`` keys for ``a_overrides``.  Absent
-    keys keep the class defaults; unknown keys are errors.
+    ``a_override.<group> = <year>`` keys for ``a_overrides``.  Absent keys
+    keep the class defaults; unknown keys and invalid group names are errors.
     """
     defaults = ReferenceConfig()
     fields: dict = {}
@@ -218,6 +218,8 @@ def load_reference(path: str | Path) -> ReferenceConfig:
     for key, value in read_kv_file(path).items():
         if key.startswith("a_override."):
             target, name, parse = a_overrides, key[len("a_override."):], _parse_year
+            if not _NAME.fullmatch(name):
+                raise TechCycleError(f"{path}: {key}: name {name!r} {_NAME_RULE}")
         elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
             target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
         else:

@@ -60,25 +60,20 @@ class CycleSummary:
 
 @frozen
 class CycleAggregate:
-    """Column-wise mean and sample standard deviation over cycle summaries.
+    """Mean, sample standard deviation and count per column, keyed by name.
 
-    Each column aggregates only the rows where it is defined, so ongoing
-    technologies contribute to the columns they have.  SDs use the n-1
-    divisor and are absent for single-entry columns.
+    Each column aggregates only its defined entries, so ongoing technologies
+    contribute to the columns they have.  SDs use the n-1 divisor and are
+    absent for single-entry columns; means are absent for empty ones.
     """
 
-    mean_am: float | None
-    mean_mz: float | None
-    mean_az: float | None
-    sd_am: float | None
-    sd_mz: float | None
-    sd_az: float | None
-    mean_up_share: float | None
-    mean_down_share: float | None
-    n_per_column: Mapping[str, int]
+    mean: Mapping[str, float | None]
+    sd: Mapping[str, float | None]
+    n: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_per_column", MappingProxyType(dict(self.n_per_column)))
+        for name in ("mean", "sd", "n"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 @frozen
@@ -144,6 +139,7 @@ def detect_events(
 def cycle_metrics(events: CycleEvents) -> CycleSummary:
     """Wave lengths and their percentage split for one technology.
 
+    The down wave MZ is also the technology's disruption period (Table 3).
     Components that depend on an ongoing event stay absent.  A zero-length
     cycle has undefined shares and is rejected.
     """
@@ -165,15 +161,6 @@ def cycle_metrics(events: CycleEvents) -> CycleSummary:
     return CycleSummary(
         events=events, am=am, mz=mz, az=az, up_share=up_share, down_share=down_share
     )
-
-
-def disruption_period(events: CycleEvents) -> int:
-    """Years from peak to end of revenues (the down wave length)."""
-    if events.m_year is None or events.z_year is None:
-        raise TechCycleError(
-            f"{events.technology}: disruption period needs both peak and end years"
-        )
-    return events.z_year - events.m_year
 
 
 def crossover_year(
@@ -206,26 +193,21 @@ def crossover_year(
 
 
 def aggregate_cycles(summaries: list[CycleSummary]) -> CycleAggregate:
-    """Arithmetic mean and sample SD per column over the defined entries."""
+    """Table 4's footer: ``column_stats`` of each wave column over the summaries."""
     if not summaries:
         raise InsufficientDataError("aggregate_cycles needs at least one summary")
-    columns = {
-        "am": [float(s.am) for s in summaries if s.am is not None],
-        "mz": [float(s.mz) for s in summaries if s.mz is not None],
-        "az": [float(s.az) for s in summaries if s.az is not None],
-        "up_share": [s.up_share for s in summaries if s.up_share is not None],
-        "down_share": [s.down_share for s in summaries if s.down_share is not None],
-    }
+    return column_stats(**{
+        name: [float(getattr(s, name)) for s in summaries if getattr(s, name) is not None]
+        for name in ("am", "mz", "az", "up_share", "down_share")
+    })
+
+
+def column_stats(**columns: list[float]) -> CycleAggregate:
+    """Mean, sample SD and count of each named column of numbers."""
     return CycleAggregate(
-        mean_am=_mean(columns["am"]),
-        mean_mz=_mean(columns["mz"]),
-        mean_az=_mean(columns["az"]),
-        sd_am=_sample_sd(columns["am"]),
-        sd_mz=_sample_sd(columns["mz"]),
-        sd_az=_sample_sd(columns["az"]),
-        mean_up_share=_mean(columns["up_share"]),
-        mean_down_share=_mean(columns["down_share"]),
-        n_per_column={name: len(values) for name, values in columns.items()},
+        mean={name: _mean(values) for name, values in columns.items()},
+        sd={name: _sample_sd(values) for name, values in columns.items()},
+        n={name: len(values) for name, values in columns.items()},
     )
 
 

@@ -16,14 +16,13 @@ from .config import ReferenceConfig, load_cpi_csv, load_groups, load_revenue_csv
 from .cycle import (
     CrossoverResult,
     CycleAggregate,
+    CycleEvents,
     CycleSummary,
-    _mean,
-    _sample_sd,
     aggregate_cycles,
+    column_stats,
     crossover_year,
     cycle_metrics,
     detect_events,
-    disruption_period,
 )
 from .errors import TechCycleError
 from .growth import SubstitutionFit, fit_substitution
@@ -92,9 +91,7 @@ class PairRow:
     established: str
     disruptive: str
     crossover: CrossoverResult | None
-    peak_year: int | None
-    end_year: int | None
-    end_censored: bool
+    events: CycleEvents  # the established technology's
     disruption_period: int | None
     dp_note: str | None = None  # why disruption_period is None
 
@@ -106,10 +103,7 @@ class MarketReport:
     table1: SubstitutionFit
     table2: SubstitutionFit
     table3: tuple[PairRow, ...]
-    share_mean: float | None
-    share_sd: float | None
-    dp_mean: float | None
-    dp_sd: float | None
+    table3_aggregate: CycleAggregate  # columns "share" and "dp"
     table4: tuple[CycleSummary, ...]
     table4_aggregate: CycleAggregate
     labels: dict[str, str]
@@ -153,10 +147,8 @@ def pair_row(
         established=old,
         disruptive=new,
         crossover=crossover,
-        peak_year=events.m_year,
-        end_year=events.z_year,
-        end_censored=events.censored,
-        disruption_period=None if note else disruption_period(events),
+        events=events,
+        disruption_period=None if note else cycle_metrics(events).mz,
         dp_note=note,
     )
 
@@ -177,12 +169,9 @@ def table3_pairs(
     return pairs
 
 
-def table3(
-    dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
-) -> list[PairRow]:
-    """Table 3: one row for each of ``table3_pairs(dataset, ref, last)``."""
+def table3(dataset: Dataset, ref: ReferenceConfig, pairs: list[tuple[str, str]]) -> list[PairRow]:
+    """Table 3: one row for each of ``pairs``, as ``table3_pairs`` lists them."""
     counted: set[str] = set()
-    pairs = table3_pairs(dataset, ref, last)
     return [pair_row(dataset, ref, old, new, counted) for old, new in pairs]
 
 
@@ -208,7 +197,7 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
         dataset.series_for(ref.table2_old),
         window=ref.table2_window,
     )
-    rows = table3(dataset, ref)
+    rows = table3(dataset, ref, table3_pairs(dataset, ref))
     shares = [
         row.crossover.established_share
         for row in rows
@@ -220,10 +209,7 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
         table1=table1,
         table2=table2,
         table3=tuple(rows),
-        share_mean=_mean(shares),
-        share_sd=_sample_sd(shares),
-        dp_mean=_mean(dps),
-        dp_sd=_sample_sd(dps),
+        table3_aggregate=column_stats(share=shares, dp=dps),
         table4=tuple(summaries),
         table4_aggregate=aggregate,
         labels={
@@ -293,15 +279,11 @@ def pair_to_mapping(row: PairRow) -> dict:
         "crossover_year": None if cross is None else cross.year,
         "established_share_pct": None if cross is None else cross.established_share,
         "crossover_at_boundary": False if cross is None else cross.boundary,
-        "peak_year": row.peak_year,
-        "end_year": row.end_year,
-        "end_censored": row.end_censored,
+        "peak_year": row.events.m_year,
+        "end_year": row.events.z_year,
+        "end_censored": row.events.censored,
         "disruption_period_years": row.disruption_period,
     }
-
-
-def table3_to_rows(report: MarketReport) -> list[dict]:
-    return [pair_to_mapping(row) for row in report.table3]
 
 
 def render_table3_text(report: MarketReport) -> str:
@@ -318,19 +300,20 @@ def render_table3_text(report: MarketReport) -> str:
             year, share = "n.a.", f"({cross.established_share:.2f})"
         else:
             year, share = str(cross.year), f"{cross.established_share:.2f}"
-        end = "" if row.end_year is None else f"{row.end_year}{'*' if row.end_censored else ''}"
+        ev = row.events
+        end = "" if ev.z_year is None else f"{ev.z_year}{'*' if ev.censored else ''}"
         dp = "" if row.disruption_period is None else str(row.disruption_period)
         lines.append(
             f"{row.established:<14}{row.disruptive:<22}{year:>10}{share:>9}"
-            f"{'' if row.peak_year is None else row.peak_year:>7}{end:>7}{dp:>5}"
+            f"{'' if ev.m_year is None else ev.m_year:>7}{end:>7}{dp:>5}"
         )
     lines.append("")
-    if report.share_mean is not None:
-        sd = "" if report.share_sd is None else f"  (SD {report.share_sd:.2f})"
-        lines.append(f"Mean established share at crossover: {report.share_mean:.2f}%{sd}")
-    if report.dp_mean is not None:
-        sd = "" if report.dp_sd is None else f"  (SD {report.dp_sd:.2f})"
-        lines.append(f"Mean disruption period: {report.dp_mean:.2f} years{sd}")
+    agg = report.table3_aggregate
+    for column, label, unit in (("share", "Mean established share at crossover", "%"),
+                                ("dp", "Mean disruption period", " years")):
+        if agg.mean[column] is not None:
+            sd = "" if agg.sd[column] is None else f"  (SD {agg.sd[column]:.2f})"
+            lines.append(f"{label}: {agg.mean[column]:.2f}{unit}{sd}")
     lines.append("n.a. = crossover already in force at the first comparable year")
     lines.append("*   = final data year, revenues still above the end threshold")
     return "\n".join(lines) + "\n"
@@ -355,15 +338,15 @@ def table4_to_mapping(summaries, agg: CycleAggregate) -> dict:
         for summary in summaries
     ]
     aggregate = {
-        "mean_up_wave": agg.mean_am,
-        "mean_down_wave": agg.mean_mz,
-        "mean_cycle": agg.mean_az,
-        "sd_up_wave": agg.sd_am,
-        "sd_down_wave": agg.sd_mz,
-        "sd_cycle": agg.sd_az,
-        "mean_up_share_pct": agg.mean_up_share,
-        "mean_down_share_pct": agg.mean_down_share,
-        "n_per_column": dict(agg.n_per_column),
+        "mean_up_wave": agg.mean["am"],
+        "mean_down_wave": agg.mean["mz"],
+        "mean_cycle": agg.mean["az"],
+        "sd_up_wave": agg.sd["am"],
+        "sd_down_wave": agg.sd["mz"],
+        "sd_cycle": agg.sd["az"],
+        "mean_up_share_pct": agg.mean["up_share"],
+        "mean_down_share_pct": agg.mean["down_share"],
+        "n_per_column": dict(agg.n),
     }
     return {"rows": rows, "aggregate": aggregate}
 
@@ -395,12 +378,12 @@ def render_table4_text(summaries, agg: CycleAggregate) -> str:
         return "" if value is None else f"{value:.2f}"
 
     lines.append(
-        f"{'mean':<12}{'':>6}{'':>7}{'':>7}{opt(agg.mean_am):>8}{opt(agg.mean_mz):>8}"
-        f"{opt(agg.mean_az):>8}{opt(agg.mean_up_share):>9}{opt(agg.mean_down_share):>9}"
+        f"{'mean':<12}{'':>6}{'':>7}{'':>7}{opt(agg.mean['am']):>8}{opt(agg.mean['mz']):>8}"
+        f"{opt(agg.mean['az']):>8}{opt(agg.mean['up_share']):>9}{opt(agg.mean['down_share']):>9}"
     )
     lines.append(
-        f"{'SD':<12}{'':>6}{'':>7}{'':>7}{opt(agg.sd_am):>8}{opt(agg.sd_mz):>8}"
-        f"{opt(agg.sd_az):>8}{'':>9}{'':>9}"
+        f"{'SD':<12}{'':>6}{'':>7}{'':>7}{opt(agg.sd['am']):>8}{opt(agg.sd['mz']):>8}"
+        f"{opt(agg.sd['az']):>8}{'':>9}{'':>9}"
     )
     lines.append("")
     lines.append("* = event still in progress at the end of the data")
@@ -429,11 +412,11 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
         ),
         "table3": (
             {
-                "rows": table3_to_rows(report),
-                "share_mean_pct": report.share_mean,
-                "share_sd_pct": report.share_sd,
-                "dp_mean_years": report.dp_mean,
-                "dp_sd_years": report.dp_sd,
+                "rows": [pair_to_mapping(row) for row in report.table3],
+                "share_mean_pct": report.table3_aggregate.mean["share"],
+                "share_sd_pct": report.table3_aggregate.sd["share"],
+                "dp_mean_years": report.table3_aggregate.mean["dp"],
+                "dp_sd_years": report.table3_aggregate.sd["dp"],
             },
             render_table3_text(report),
         ),
@@ -478,22 +461,21 @@ def render(fmt: str, mapping: dict, text: str) -> str:
 
 
 def mapping_to_csv(mapping: dict) -> str:
-    """Flatten a report mapping to CSV; row lists become tables, scalars key/value pairs."""
+    """Flatten a report mapping to CSV; row lists become tables, scalars dotted-key/value pairs."""
     lines: list[str] = []
+    pending = list(mapping.items())
     if "rows" in mapping and isinstance(mapping["rows"], list) and mapping["rows"]:
         columns = list(mapping["rows"][0])
         lines.append(",".join(columns))
         for row in mapping["rows"]:
             lines.append(",".join(_csv_cell(row[c]) for c in columns))
         lines.append("")
-        scalars = {k: v for k, v in mapping.items() if k != "rows"}
-    else:
-        scalars = mapping
+        pending = [(k, v) for k, v in pending if k != "rows"]
     lines.append("key,value")
-    for key, value in scalars.items():
-        if isinstance(value, dict):
-            for sub, subvalue in value.items():
-                lines.append(f"{key}.{sub},{_csv_cell(subvalue)}")
+    while pending:
+        key, value = pending.pop(0)
+        if isinstance(value, dict):  # its entries come next, at any depth
+            pending[:0] = [(f"{key}.{sub}", subvalue) for sub, subvalue in value.items()]
         else:
             lines.append(f"{key},{_csv_cell(value)}")
     return "\n".join(lines) + "\n"

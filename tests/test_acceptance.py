@@ -21,7 +21,6 @@ from techcycle.cycle import (
     aggregate_cycles,
     crossover_year,
     cycle_metrics,
-    disruption_period,
 )
 from techcycle.growth import (
     LogisticParams,
@@ -84,19 +83,19 @@ def test_criterion_1_cycle_table_arithmetic():
             assert summary.up_share == pytest.approx(up, abs=0.005)
             assert summary.down_share == pytest.approx(down, abs=0.005)
 
-    assert agg.mean_am == pytest.approx(22.80, abs=0.005)
-    assert agg.mean_mz == pytest.approx(19.25, abs=0.005)
-    assert agg.mean_az == pytest.approx(45.75, abs=0.005)
-    assert agg.sd_am == pytest.approx(16.08, abs=0.005)
-    assert agg.sd_mz == pytest.approx(15.09, abs=0.005)
-    assert agg.sd_az == pytest.approx(30.63, abs=0.005)
-    assert agg.mean_up_share == pytest.approx(61.24, abs=0.005)
-    assert agg.mean_down_share == pytest.approx(38.76, abs=0.005)
+    assert agg.mean["am"] == pytest.approx(22.80, abs=0.005)
+    assert agg.mean["mz"] == pytest.approx(19.25, abs=0.005)
+    assert agg.mean["az"] == pytest.approx(45.75, abs=0.005)
+    assert agg.sd["am"] == pytest.approx(16.08, abs=0.005)
+    assert agg.sd["mz"] == pytest.approx(15.09, abs=0.005)
+    assert agg.sd["az"] == pytest.approx(30.63, abs=0.005)
+    assert agg.mean["up_share"] == pytest.approx(61.24, abs=0.005)
+    assert agg.mean["down_share"] == pytest.approx(38.76, abs=0.005)
     assert elapsed < 1e-3
     report_line(
         "1 cycle-table arithmetic",
-        f"means {agg.mean_am:.2f}/{agg.mean_mz:.2f}/{agg.mean_az:.2f}, "
-        f"shares {agg.mean_up_share:.2f}/{agg.mean_down_share:.2f}, "
+        f"means {agg.mean['am']:.2f}/{agg.mean['mz']:.2f}/{agg.mean['az']:.2f}, "
+        f"shares {agg.mean['up_share']:.2f}/{agg.mean['down_share']:.2f}, "
         f"{elapsed * 1e6:.0f}us",
     )
 
@@ -104,9 +103,9 @@ def test_criterion_1_cycle_table_arithmetic():
 def test_criterion_2_disruption_table_arithmetic():
     """DPs from given peak/end years; share-column mean and SD."""
     dps = [
-        disruption_period(events("8-track", 1965, 1978, 1982)),
-        disruption_period(events("cassette", 1964, 1990, 2008)),
-        disruption_period(events("cd", 1983, 2000, 2018)),
+        cycle_metrics(events("8-track", 1965, 1978, 1982)).mz,
+        cycle_metrics(events("cassette", 1964, 1990, 2008)).mz,
+        cycle_metrics(events("cd", 1983, 2000, 2018)).mz,
     ]
     assert dps == [4, 18, 18]
 
@@ -170,8 +169,8 @@ def test_criterion_4_crossover_targets(dataset, reference):
         details.append(f"{old}->{new} {result.year} {result.established_share:.2f}%")
 
     market = build_report(dataset, reference)
-    assert market.dp_mean == pytest.approx(13.0, abs=1.0)
-    details.append(f"mean DP {market.dp_mean:.2f}y")
+    assert market.table3_aggregate.mean["dp"] == pytest.approx(13.0, abs=1.0)
+    details.append(f"mean DP {market.table3_aggregate.mean['dp']:.2f}y")
     report_line("4 crossover targets", ", ".join(details))
 
 

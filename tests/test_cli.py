@@ -358,6 +358,11 @@ class TestCycles:
         )
         assert float(scalar_map["aggregate.mean_up_wave"]) == pytest.approx(mean_am, abs=1e-9)
         assert float(scalar_map["aggregate.sd_up_wave"]) == pytest.approx(sd_am, abs=1e-9)
+        # nested keys are dotted paths, so every value is a number, empty or a boolean
+        for value in scalar_map.values():
+            if value not in ("", "true", "false"):
+                float(value)
+        assert scalar_map["aggregate.n_per_column.am"] == "5"
 
     def test_streaming_row_marked_ongoing(self, capsys):
         code, out, _ = run_cli("cycles", capsys=capsys)

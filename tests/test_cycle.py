@@ -11,7 +11,6 @@ from techcycle.cycle import (
     crossover_year,
     cycle_metrics,
     detect_events,
-    disruption_period,
 )
 from techcycle.errors import TechCycleError
 from techcycle.market_data import RevenueSeries
@@ -122,18 +121,19 @@ class TestCycleMetrics:
 
 
 class TestDisruptionPeriod:
+    """The disruption period is the down wave MZ of ``cycle_metrics``."""
+
     def test_cassette_reference_years(self):
-        assert disruption_period(events("cassette", 1964, 1990, 2008)) == 18
+        assert cycle_metrics(events("cassette", 1964, 1990, 2008)).mz == 18
 
     def test_8_track_reference_years(self):
-        assert disruption_period(events("8-track", 1965, 1978, 1982)) == 4
+        assert cycle_metrics(events("8-track", 1965, 1978, 1982)).mz == 4
 
     def test_peak_equals_end(self):
-        assert disruption_period(events("x", 2000, 2005, 2005)) == 0
+        assert cycle_metrics(events("x", 2000, 2005, 2005)).mz == 0
 
-    def test_ongoing_rejected(self):
-        with pytest.raises(TechCycleError, match="needs both peak and end years"):
-            disruption_period(events("streaming", 2005, None, None))
+    def test_ongoing_has_none(self):
+        assert cycle_metrics(events("streaming", 2005, None, None)).mz is None
 
 
 class TestCrossover:
@@ -202,16 +202,15 @@ class TestAggregateCycles:
 
     def test_reference_rows_aggregate(self):
         agg = aggregate_cycles(self.reference_summaries())
-        assert agg.mean_am == pytest.approx(22.80, abs=0.005)
-        assert agg.mean_mz == pytest.approx(19.25, abs=0.005)
-        assert agg.mean_az == pytest.approx(45.75, abs=0.005)
-        assert agg.sd_am == pytest.approx(16.08, abs=0.005)
-        assert agg.sd_mz == pytest.approx(15.09, abs=0.005)
-        assert agg.sd_az == pytest.approx(30.63, abs=0.005)
-        assert agg.mean_up_share == pytest.approx(61.24, abs=0.005)
-        assert agg.mean_down_share == pytest.approx(38.76, abs=0.005)
-        assert agg.n_per_column == {"am": 5, "mz": 4, "az": 4,
-                                    "up_share": 4, "down_share": 4}
+        assert agg.mean["am"] == pytest.approx(22.80, abs=0.005)
+        assert agg.mean["mz"] == pytest.approx(19.25, abs=0.005)
+        assert agg.mean["az"] == pytest.approx(45.75, abs=0.005)
+        assert agg.sd["am"] == pytest.approx(16.08, abs=0.005)
+        assert agg.sd["mz"] == pytest.approx(15.09, abs=0.005)
+        assert agg.sd["az"] == pytest.approx(30.63, abs=0.005)
+        assert agg.mean["up_share"] == pytest.approx(61.24, abs=0.005)
+        assert agg.mean["down_share"] == pytest.approx(38.76, abs=0.005)
+        assert agg.n == {"am": 5, "mz": 4, "az": 4, "up_share": 4, "down_share": 4}
 
     def test_sample_sd_convention(self):
         # the five up-wave lengths pin the n-1 divisor
@@ -220,8 +219,8 @@ class TestAggregateCycles:
 
     def test_single_summary(self):
         agg = aggregate_cycles([cycle_metrics(events("x", 2000, 2004, 2010))])
-        assert agg.mean_am == 4.0
-        assert agg.sd_am is None and agg.sd_az is None
+        assert agg.mean["am"] == 4.0
+        assert agg.sd["am"] is None and agg.sd["az"] is None
 
     def test_matches_two_pass_oracle_on_random_rows(self):
         import random
@@ -236,14 +235,14 @@ class TestAggregateCycles:
         agg = aggregate_cycles(summaries)
 
         ams = [s.am for s in summaries]
-        assert agg.mean_am == pytest.approx(statistics.fmean(ams), abs=1e-9)
-        assert agg.sd_am == pytest.approx(statistics.stdev(ams), abs=1e-9)
+        assert agg.mean["am"] == pytest.approx(statistics.fmean(ams), abs=1e-9)
+        assert agg.sd["am"] == pytest.approx(statistics.stdev(ams), abs=1e-9)
         azs = [s.az for s in summaries]
-        assert agg.mean_az == pytest.approx(statistics.fmean(azs), abs=1e-9)
-        assert agg.sd_az == pytest.approx(statistics.stdev(azs), abs=1e-9)
+        assert agg.mean["az"] == pytest.approx(statistics.fmean(azs), abs=1e-9)
+        assert agg.sd["az"] == pytest.approx(statistics.stdev(azs), abs=1e-9)
         ups = [s.up_share for s in summaries]
-        assert agg.mean_up_share == pytest.approx(statistics.fmean(ups), abs=1e-9)
-        assert agg.mean_up_share + agg.mean_down_share == pytest.approx(100.0, abs=1e-9)
+        assert agg.mean["up_share"] == pytest.approx(statistics.fmean(ups), abs=1e-9)
+        assert agg.mean["up_share"] + agg.mean["down_share"] == pytest.approx(100.0, abs=1e-9)
 
     def test_permutation_invariance(self):
         import random

@@ -9,10 +9,10 @@ whole of stderr; ``{tmp}`` and ``{data}`` in the pinned text stand for that
 directory and the bundled data directory.  A change to any message or exit
 code here is a change to the CLI's contract, and says so in CHANGES.md.
 
-Three faults cannot be reached from the command line, so they are pinned as
+Two faults cannot be reached from the command line, so they are pinned as
 library calls with the exit code ``main`` gives their exception: a zero-length
-cycle, the disruption period of an ongoing technology, and a series with no
-positive revenue (rejected when the series is built).
+cycle, and a series with no positive revenue (rejected when the series is
+built).
 """
 
 import pytest
@@ -20,7 +20,7 @@ import pytest
 from techcycle import cli, errors
 from techcycle.cli import main
 from techcycle.config import default_data_dir
-from techcycle.cycle import CycleEvents, cycle_metrics, disruption_period
+from techcycle.cycle import CycleEvents, cycle_metrics
 from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.market_data import RevenueSeries
 
@@ -228,6 +228,12 @@ CLI = {
         f"error: {{tmp}}/r.cfg: a_override.casette: unknown technology 'casette'; "
         f"known: {KNOWN}\n",
     ),
+    "override-combination": (
+        ["crossover", "--config", "{tmp}/r.cfg", "--old", "cd", "--new", "download"],
+        reference("a_override.cd", "a_override.cd+download = 1950"), 2,
+        "error: {tmp}/r.cfg: a_override.cd+download: name 'cd+download' may hold only "
+        "ASCII letters, digits, '-' and '_'\n",
+    ),
     "reversed-window": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1984"], {}, 2,
         "error: window spec '1990:1984' is reversed\n",
@@ -284,10 +290,6 @@ LIBRARY = {
     "zero-length-cycle": (
         lambda: cycle_metrics(_events(2000, 2000)), 2,
         "x: zero-length cycle, wave shares undefined",
-    ),
-    "ongoing-disruption-period": (
-        lambda: disruption_period(_events(None, None)), 2,
-        "x: disruption period needs both peak and end years",
     ),
     "no-positive-revenue": (
         lambda: RevenueSeries(technology="x", base_year=2018, points={2000: 0.0}), 2,

@@ -27,7 +27,7 @@ REPORT = {
         "15623b08e9e1cf71f949e78025d5dd67dfd62384b5e2d7dec39dac846b6999c2",
     ),
     "csv": (
-        "1acd64b02cfd87aa84bab427b4d5ff2b41b29f3943636893bc199aeed4438181",
+        "572652f6248b3cbd25cd97b7e2726c98e07d7ead4a7679dc3bdd8be2ad598503",
         "4fb4b729f2e0694ff68a363ffce6fab711863f1c0d841a677f870c81ea208854",
     ),
 }
@@ -44,7 +44,7 @@ STDOUT = {
     ),
     "cycles-csv": (
         ["cycles", "--format", "csv"],
-        "311721b3238e1e8fba30d32f0bd9133f3f0af429354c2637150a3ebca55d62ec",
+        "c00bc762602b80bdd7256e589d88f1312d4c608916c12ea83f5dd8758ccb92fd",
     ),
     "fit-json": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1984:1990", "--format", "json"],

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 
 import pytest
 
@@ -8,9 +9,9 @@ from techcycle.market_data import RevenueSeries
 from techcycle.report import (
     build_report,
     fit_to_mapping,
+    pair_to_mapping,
     render_fit_text,
     render_table3_text,
-    table3_to_rows,
 )
 
 
@@ -48,7 +49,10 @@ class TestTable3Rows:
     def test_dp_values_and_mean(self, market):
         dps = [r.disruption_period for r in market.table3 if r.disruption_period]
         assert dps == [4, 15, 19]
-        assert market.dp_mean == pytest.approx(sum(dps) / 3)
+        agg = market.table3_aggregate
+        assert agg.mean["dp"] == pytest.approx(sum(dps) / 3)
+        assert agg.sd["dp"] == pytest.approx(statistics.stdev(dps))
+        assert agg.n["dp"] == 3
 
     def test_share_stats_exclude_boundary_rows(self, market):
         shares = [
@@ -57,11 +61,13 @@ class TestTable3Rows:
             if r.crossover is not None and not r.crossover.boundary
         ]
         assert len(shares) == 5
-        assert market.share_mean == pytest.approx(sum(shares) / 5)
+        agg = market.table3_aggregate
+        assert agg.mean["share"] == pytest.approx(sum(shares) / 5)
+        assert agg.sd["share"] == pytest.approx(statistics.stdev(shares))
+        assert agg.n["share"] == 5
 
     def test_rows_serialize_with_nulls(self, market):
-        rows = table3_to_rows(market)
-        vinyl = rows[0]
+        vinyl = pair_to_mapping(market.table3[0])
         assert vinyl["disruption_period_years"] is None
         assert vinyl["crossover_at_boundary"] is True
         text = render_table3_text(market)
