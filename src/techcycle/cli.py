@@ -24,7 +24,7 @@ from .config import (default_data_dir, load_reference, parse_window_spec, read_k
 # not called here (Tables 3 and 4 are computed in report.py), but
 # perfbench/tracing.py looks these names up in this module.
 from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
-from .errors import InsufficientDataError, TechCycleError
+from .errors import InsufficientDataError, TechCycleError, located
 from .growth import fit_substitution
 from .market_data import BASE_YEAR
 from .synthlab import generate_scenario, recovery_experiment, scenario_from_mapping
@@ -130,27 +130,16 @@ def _load_inputs(args):
     """The dataset and the reference config of a subcommand that takes --config.
 
     Each begin-year override must name a technology of the dataset and a year
-    no later than its peak, unless none names one (a config for other data).
+    no later than its first revenue year, unless none names one (a config for
+    other data).
     """
     dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     ref = load_reference(args.config)
     if any(name in dataset.series for name in ref.a_overrides):
         for name, year in ref.a_overrides.items():
-            try:
+            with located(f"{args.config}: a_override.{name}"):
                 detect_events(dataset.series_for(name), a_override=year)
-            except TechCycleError as exc:
-                raise TechCycleError(f"{args.config}: a_override.{name}: {exc}") from None
     return dataset, ref
-
-
-def _check_names(args, dataset, key: str, names) -> None:
-    """Each of ``names``, read from the config's ``key``, must name technologies
-    of the dataset; an error names the config file and the key."""
-    for name in names:
-        try:
-            dataset.technologies_for(name)
-        except TechCycleError as exc:
-            raise TechCycleError(f"{args.config}: {key}: {exc}") from None
 
 
 def _emit(args, mapping: dict, text: str) -> None:
@@ -208,8 +197,8 @@ def cmd_crossover(args) -> int:
     dataset, ref = _load_inputs(args)
     _pair(args, dataset)
     pairs = report_mod.table3_pairs(dataset, ref, last=(args.old, args.new))
-    _check_names(args, dataset, "table3_pairs", [name for pair in pairs for name in pair])
-    row = report_mod.table3(dataset, ref, pairs)[-1]
+    with located(args.config):
+        row = report_mod.table3(dataset, ref, pairs)[-1]
     cross = row.crossover
     if cross is None:
         text = "no crossover in data\n"
@@ -233,7 +222,8 @@ def cmd_simulate(args) -> int:
     values = read_kv_file(args.scenario)
     if args.seed is not None:
         values["seed"] = str(args.seed)
-    scenario = scenario_from_mapping(values)
+    with located(args.scenario):
+        scenario = scenario_from_mapping(values)
     window = parse_window_spec(args.window) if args.window else None
     result = recovery_experiment(scenario, window=window)
     if args.out:
@@ -264,11 +254,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     dataset, ref = _load_inputs(args)
-    for key in ("table1_old", "table1_new", "table2_old", "table2_new"):
-        _check_names(args, dataset, key, [getattr(ref, key)])
-    pairs = report_mod.table3_pairs(dataset, ref)
-    _check_names(args, dataset, "table3_pairs", [name for pair in pairs for name in pair])
-    market = report_mod.build_report(dataset, ref)
+    with located(args.config):
+        market = report_mod.build_report(dataset, ref)
     written = report_mod.write_report(market, dataset, args.out, args.format)
     for path in written:
         print(f"wrote {path}")

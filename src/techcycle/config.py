@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import TechCycleError
+from .errors import TechCycleError, located
 from .market_data import (YEAR_MAX, YEAR_MIN, CpiTable, RevenueRecord, TechnologyGroup,
                           parse_revenue_table)
 
@@ -106,25 +106,23 @@ def load_cpi_csv(path: str | Path) -> CpiTable:
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or all(not c.strip() for c in row):
             continue
+        if len(row) != 2:
+            raise TechCycleError(f"{path}, data row {row_no}: expected 2 cells, got {len(row)}")
         try:
             year, index = int(row[0]), float(row[1])
-        except (ValueError, IndexError):
+        except ValueError:
             raise TechCycleError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
         if year in entries:
             raise TechCycleError(f"{path}: duplicate CPI year {year}")
         entries[year] = index
-    try:
+    with located(path):
         return CpiTable(entries=entries)
-    except TechCycleError as exc:
-        raise TechCycleError(f"{path}: {exc}") from None
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
     text = _read_text(path)
-    try:
+    with located(path):
         return parse_revenue_table(text)
-    except TechCycleError as exc:
-        raise TechCycleError(f"{path}: {exc}") from None
 
 
 def technology_names(combo: str) -> list[str]:

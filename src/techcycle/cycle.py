@@ -102,17 +102,21 @@ def detect_events(
 ) -> CycleEvents:
     """Locate the A, M and Z events on a revenue series.
 
-    A is the first positive year unless overridden (datasets often start
-    after a technology's introduction).  M is the earliest year attaining
-    the maximum, marked ongoing when that maximum sits on the final data
-    year.  Z is the first post-peak year with revenue below
-    ``end_threshold_rel`` of the peak, else the final year with the
-    censored flag set.
+    A is the first positive year unless overridden by an earlier year
+    (datasets often start after a technology's introduction).  M is the
+    earliest year attaining the maximum, marked ongoing when that maximum
+    sits on the final data year.  Z is the first post-peak year with
+    revenue below ``end_threshold_rel`` of the peak, else the final year
+    with the censored flag set.
     """
     if not (0.0 < end_threshold_rel < 1.0):
         raise TechCycleError(f"end threshold must be in (0, 1), got {end_threshold_rel}")
-    positive_years = [year for year, value in series.points.items() if value > 0.0]
-    a_year = a_override if a_override is not None else positive_years[0]
+    first = next(year for year, value in series.points.items() if value > 0.0)
+    a_year = first if a_override is None else a_override
+    if a_year > first:
+        raise TechCycleError(
+            f"{series.technology}: begin {a_year} after its first revenue year {first}"
+        )
 
     peak_value = max(series.points.values())
     m_year = next(year for year, value in series.points.items() if value == peak_value)

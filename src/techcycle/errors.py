@@ -8,6 +8,8 @@ Library callers can sort failures the way the CLI does:
   usable observations for the requested estimate (exit code 3).
 """
 
+from contextlib import contextmanager
+
 
 class TechCycleError(Exception):
     """Base class for all errors raised by this package; a bad input."""
@@ -19,3 +21,13 @@ class InsufficientDataError(TechCycleError):
 
 class WindowError(InsufficientDataError):
     """A fitting window is empty or contains unusable observations."""
+
+
+@contextmanager
+def located(where):
+    """Prefix the message of a package error raised inside with ``where``
+    (a file, a config key), keeping its class and so its exit code."""
+    try:
+        yield
+    except TechCycleError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -24,7 +24,7 @@ from .cycle import (
     cycle_metrics,
     detect_events,
 )
-from .errors import TechCycleError
+from .errors import TechCycleError, located
 from .growth import SubstitutionFit, fit_substitution
 from .market_data import (
     RevenueRecord,
@@ -47,8 +47,8 @@ class Dataset:
     groups: tuple[TechnologyGroup, ...]
     series: dict[str, RevenueSeries]
 
-    def technologies_for(self, combo: str) -> list[str]:
-        """The technologies of a name, or of a '+'-joined combination of distinct names."""
+    def series_for(self, combo: str) -> RevenueSeries:
+        """Resolve a technology name, or a '+'-joined combination of distinct names."""
         names = technology_names(combo)
         if not names:
             raise TechCycleError(f"{combo!r} names no technology")
@@ -59,11 +59,6 @@ class Dataset:
         if missing:
             known = ", ".join(sorted(self.series))
             raise TechCycleError(f"unknown technology {missing[0]!r}; known: {known}")
-        return names
-
-    def series_for(self, combo: str) -> RevenueSeries:
-        """Resolve a technology name, or a '+'-joined combination of distinct names."""
-        names = self.technologies_for(combo)
         if len(names) == 1:
             return self.series[names[0]]
         return merge_series("+".join(names), [self.series[name] for name in names])
@@ -73,14 +68,10 @@ def load_dataset(data_path: str | Path, cpi_path: str | Path, groups_path: str |
     records = load_revenue_csv(data_path)
     cpi = load_cpi_csv(cpi_path)
     groups = load_groups(groups_path)
-    try:
+    with located(cpi_path):
         adjusted = adjust_inflation(records, cpi)
-    except TechCycleError as exc:
-        raise TechCycleError(f"{cpi_path}: {exc}") from None
-    try:
+    with located(groups_path):
         series = {g.name: aggregate_group(adjusted, g) for g in groups}
-    except TechCycleError as exc:
-        raise TechCycleError(f"{groups_path}: {exc}") from None
     return Dataset(records=tuple(records), groups=tuple(groups), series=series)
 
 
@@ -125,8 +116,9 @@ def pair_row(
     technology (``counted`` gains ``old`` when this row counts it), and only
     once its revenue has ended and fallen to ``dp_residual_max`` of its peak.
     """
-    established = dataset.series_for(old)
-    crossover = crossover_year(established, dataset.series_for(new))
+    with located("table3_pairs"):
+        established, disruptive = dataset.series_for(old), dataset.series_for(new)
+    crossover = crossover_year(established, disruptive)
     events = _events(ref, old, established)
     peak = max(established.points.values())
     latest = established.points[established.last_year]
@@ -186,17 +178,19 @@ def cycle_table(
     return summaries, aggregate_cycles(summaries)
 
 
+def _fit(dataset: Dataset, table: str, old: str, new: str, window) -> SubstitutionFit:
+    """Table 1 or 2: ``new`` fitted against ``old``; an error names the config key."""
+    with located(f"{table}_old"):
+        established = dataset.series_for(old)
+    with located(f"{table}_new"):
+        disruptive = dataset.series_for(new)
+    with located(f"{table}_window"):
+        return fit_substitution(disruptive, established, window=window)
+
+
 def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
-    table1 = fit_substitution(
-        dataset.series_for(ref.table1_new),
-        dataset.series_for(ref.table1_old),
-        window=ref.table1_window,
-    )
-    table2 = fit_substitution(
-        dataset.series_for(ref.table2_new),
-        dataset.series_for(ref.table2_old),
-        window=ref.table2_window,
-    )
+    table1 = _fit(dataset, "table1", ref.table1_old, ref.table1_new, ref.table1_window)
+    table2 = _fit(dataset, "table2", ref.table2_old, ref.table2_new, ref.table2_window)
     rows = table3(dataset, ref, table3_pairs(dataset, ref))
     shares = [
         row.crossover.established_share

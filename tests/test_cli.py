@@ -296,6 +296,20 @@ class TestCrossover:
         assert code == 0
         assert f"disruption period: not counted ({reason}" in out
 
+    def test_no_peak_and_end_prints_its_reason(self, tmp_path, capsys):
+        rows = [f"{2000 + i},{fmt},,{value!r},"
+                for fmt, values in (("Old", [1.0, 2.0, 3.0, 4.0]), ("New", [1.0, 3.0, 5.0, 7.0]))
+                for i, value in enumerate(values)]
+        (tmp_path / "data.csv").write_text(
+            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n")
+        (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
+        (tmp_path / "groups.cfg").write_text("old = Old\nnew = New\n")
+        code, out, err = run_cli("crossover", *data_flags(tmp_path), "--old", "old", "--new", "new",
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == ("crossover year: 2001\nestablished share: 40.00%\n"
+                       "disruption period: not counted (old has no peak and end in the data)\n")
+
     def test_config_sets_the_dp_rule(self, data_dir, tmp_path, capsys):
         path = tmp_path / "r.cfg"
         path.write_text((data_dir / "reference.cfg").read_text().replace(

@@ -62,9 +62,10 @@ class TestDetectEvents:
         assert ev.z_year == 2002 and ev.censored
 
     def test_override_sets_begin_year(self):
-        ev = detect_events(series({2000: 1.0, 2001: 2.0, 2002: 1.0, 2003: 0.001}),
-                           a_override=1990)
-        assert ev.a_year == 1990
+        s = series({2000: 1.0, 2001: 2.0, 2002: 1.0, 2003: 0.001})
+        assert detect_events(s, a_override=1990).a_year == 1990
+        with pytest.raises(TechCycleError, match="x: begin 2001 after its first revenue year 2000"):
+            detect_events(s, a_override=2001)
 
     def test_threshold_validation(self):
         with pytest.raises(TechCycleError, match="end threshold must be in"):

@@ -137,6 +137,23 @@ CLI = {
              f"table1_new: unknown technology 'cdd'; known: {KNOWN}"),
             ("crossover", "table3_pairs = vinyl:c.d; download:streaming",
              f"table3_pairs: unknown technology 'c.d'; known: {KNOWN}"),
+            ("report", "table3_pairs = :cd", "table3_pairs: pair ':cd' is incomplete"),
+        )
+    },
+    "config-empty-key": (
+        ["cycles", "--config", "{tmp}/r.cfg"], reference("end_threshold_rel", "= 0.01"), 2,
+        "error: {tmp}/r.cfg, line 7: empty key\n",
+    ),
+    **{
+        f"config-table1_window={window}": (
+            ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
+            reference("table1_window", f"table1_window = {window}"), code,
+            f"error: {{tmp}}/r.cfg: table1_window: {message}\n",
+        )
+        for window, code, message in (
+            ("1960:1990", 2,
+             "cassette: value for 1960 is absent or non-positive inside window 1960-1990"),
+            ("1984:1985", 3, "window 1984-1985 has 2 usable years; need >= 3"),
         )
     },
     "config-regime_tolerance-removed": (
@@ -157,25 +174,30 @@ CLI = {
     },
     "scenario-missing-key": (
         ["simulate", "--scenario", "{tmp}/s.cfg"], {"s.cfg": "k1 = 1000\n"}, 2,
-        "error: scenario config missing key 'a1'\n",
+        "error: {tmp}/s.cfg: scenario config missing key 'a1'\n",
     ),
     "scenario-huge-range": (
         ["simulate", "--scenario", "{tmp}/s.cfg", "--out", "{tmp}/out"],
         {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
          .replace("year_end = 40", "year_end = 100000000")}, 2,
-        "error: year range (0, 100000000) covers 100000001 years; at most 10000\n",
+        "error: {tmp}/s.cfg: year range (0, 100000000) covers 100000001 years; at most 10000\n",
     ),
     "scenario-huge-year": (
         ["simulate", "--scenario", "{tmp}/s.cfg"],
         {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
          .replace("year_start = 0", f"year_start = {10**400}")
          .replace("year_end = 40", f"year_end = {10**400 + 40}")}, 2,
-        f"error: year range ({10**400}, {10**400 + 40}) is not within [-1000000, 1000000]\n",
+        f"error: {{tmp}}/s.cfg: year range ({10**400}, {10**400 + 40}) is not within "
+        "[-1000000, 1000000]\n",
     ),
     # one input per kind of fault
     "revenue-both-columns-empty": (
         ["validate", *TINY], tiny("2000,Old,,,\n"), 2,
         "error: {tmp}/data.csv: row 1: both revenue columns are empty\n",
+    ),
+    "revenue-empty-format": (
+        ["validate", *TINY], tiny("2000, ,10.0,,\n"), 2,
+        "error: {tmp}/data.csv: row 1: empty format label\n",
     ),
     "revenue-duplicate-row": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,
@@ -184,6 +206,10 @@ CLI = {
     "cpi-missing-year": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: no CPI index for year 2000\n",
+    ),
+    "cpi-extra-cell": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80,5\n2018,100\n"), 2,
+        "error: {tmp}/cpi.csv, data row 1: expected 2 cells, got 3\n",
     ),
     "cpi-missing-base-year": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
@@ -215,7 +241,14 @@ CLI = {
     "begin-after-peak": (
         ["cycles", "--config", "{tmp}/r.cfg"],
         reference("a_override.cassette", "a_override.cassette = 2000"), 2,
-        "error: {tmp}/r.cfg: a_override.cassette: cassette: begin 2000 after peak 1990\n",
+        "error: {tmp}/r.cfg: a_override.cassette: cassette: begin 2000 after its first revenue "
+        "year 1973\n",
+    ),
+    "override-after-first-revenue": (
+        ["cycles", "--config", "{tmp}/r.cfg"],
+        reference("a_override.cassette", "a_override.cassette = 1985"), 2,
+        "error: {tmp}/r.cfg: a_override.cassette: cassette: begin 1985 after its first revenue "
+        "year 1973\n",
     ),
     "override-out-of-range": (
         ["cycles", "--config", "{tmp}/r.cfg"],

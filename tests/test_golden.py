@@ -19,15 +19,15 @@ SCENARIO = str(default_data_dir() / "scenarios" / "dual_logistic_demo.cfg")
 # format -> (digest of the written tree, digest of stdout)
 REPORT = {
     "text": (
-        "9aa2711cbda95ed899c796aae34a9f3d0e41460a9912e54bd89f2410370187f7",
+        "b218487774ca3192ed5b0c1bfe1db53ee06f89c806813902ff72d1f96b372619",
         "36ac0a81ddaabf09b2fb026d13bcf2d876e2b247f23ea35b890e2be865ec40cb",
     ),
     "json": (
-        "a27d3e190437edd94a394cbd4e84cc7412903748eb2854549b07f0ee5515f8e2",
+        "99b55b696bd5010c0385cbbaf6b60ff30e4147c050ff6c64a9aee6b90d8ecf87",
         "15623b08e9e1cf71f949e78025d5dd67dfd62384b5e2d7dec39dac846b6999c2",
     ),
     "csv": (
-        "572652f6248b3cbd25cd97b7e2726c98e07d7ead4a7679dc3bdd8be2ad598503",
+        "26c771a4ecb0f3dd95de4f05c03807ed62d84ddee6c18d772ad82a36550aafe6",
         "4fb4b729f2e0694ff68a363ffce6fab711863f1c0d841a677f870c81ea208854",
     ),
 }
@@ -36,15 +36,15 @@ REPORT = {
 STDOUT = {
     "cycles-text": (
         ["cycles"],
-        "08f09e0ecec76fa173cd8a4db1c91e626cc8735ab3841c0d6a663e6a20668e44",
+        "302044f1c5fb28ec0b69e3a072cb8e61901bbc9cb28c1a1cd1d2fa274063cf4a",
     ),
     "cycles-json": (
         ["cycles", "--format", "json"],
-        "c0944600a72d0af52f12657d2c5ae17cda7a07a0629d687199820f2c1eaafd0c",
+        "4e5b5edb0c9d99956a758a79bc4655a0f2f52c918371178953d61424a33f5476",
     ),
     "cycles-csv": (
         ["cycles", "--format", "csv"],
-        "c00bc762602b80bdd7256e589d88f1312d4c608916c12ea83f5dd8758ccb92fd",
+        "443d8a430c500e67f6e06bddc5a0f08c1d416b056e20ef02254faef0f040c3be",
     ),
     "fit-json": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1984:1990", "--format", "json"],

@@ -1,12 +1,16 @@
-"""The package namespace: lazy public names that load only what they need."""
+"""The package namespace: lazy public names that load only what they need,
+and the few places that catch the package's own errors."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import techcycle
+from techcycle import errors
 
 
 def test_public_names_are_the_submodule_objects():
@@ -41,3 +45,31 @@ def test_config_import_loads_no_analysis_module(checkout_env):
         "techcycle", "techcycle._record", "techcycle.config", "techcycle.errors",
         "techcycle.market_data",
     ]
+
+
+ERROR_NAMES = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.TechCycleError)}
+
+
+def _error_handlers(node, scope):
+    """The ``module.function`` scope of each ``except`` below ``node`` that
+    names one of the package's error classes."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(child.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & ERROR_NAMES:
+                yield scope
+        yield from _error_handlers(child, inner)
+
+
+def test_package_errors_are_caught_in_three_places_only():
+    # located() prefixes where an error came from, main() maps it to an exit
+    # code, and recovery_experiment() turns a failed fit into a WindowError
+    package = Path(techcycle.__file__).parent
+    found = {where for path in sorted(package.glob("*.py"))
+             for where in _error_handlers(ast.parse(path.read_text()), path.stem)}
+    assert found == {"cli.main", "errors.located", "synthlab.recovery_experiment"}
