@@ -178,8 +178,7 @@ def cmd_fit(args) -> int:
     window = parse_window_spec(args.window)
     old, new = _pair(args, dataset)
     fit = fit_substitution(new, old, window=window)
-    label = f"{args.new} vs {args.old}"
-    _emit(args, report_mod.fit_to_mapping(fit, label), report_mod.render_fit_text(fit, label))
+    _emit(args, report_mod.fit_to_mapping(fit), report_mod.render_fit_text(fit))
     return EXIT_OK
 
 
@@ -195,10 +194,9 @@ def cmd_cycles(args) -> int:
 
 def cmd_crossover(args) -> int:
     dataset, ref = _load_inputs(args)
-    _pair(args, dataset)
-    pairs = report_mod.table3_pairs(dataset, ref, last=(args.old, args.new))
+    old, new = _pair(args, dataset)
     with located(args.config):
-        row = report_mod.table3(dataset, ref, pairs)[-1]
+        row = report_mod.table3(dataset, ref, last=(old.technology, new.technology))[-1]
     cross = row.crossover
     if cross is None:
         text = "no crossover in data\n"

@@ -126,8 +126,10 @@ def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
 
 
 def technology_names(combo: str) -> list[str]:
-    """The names in a technology name or a '+'-joined combination."""
-    return [part.strip() for part in combo.split("+") if part.strip()]
+    """The sorted names in a technology name or a '+'-joined combination;
+    joined by '+', they are its one spelling.
+    """
+    return sorted(part.strip() for part in combo.split("+") if part.strip())
 
 
 def shared_technology(old: str, new: str) -> str | None:
@@ -167,12 +169,12 @@ class ReferenceConfig:
     table2_old: str = "cd"
     table2_new: str = "streaming"
     table2_window: tuple[int, int] | None = None
-    table3_pairs: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    table3_pairs: tuple[tuple[str, str], ...] = ()
     dp_residual_max: float = 0.10
     a_overrides: Mapping[str, int] = MappingProxyType({})
 
 
-def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def _parse_pairs(value: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
@@ -181,12 +183,12 @@ def _parse_pairs(value: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         old, sep, new = chunk.partition(":")
         if not sep:
             raise ValueError(f"pair {chunk!r} must be 'established:disruptive'")
-        disruptors = tuple(technology_names(new))
-        if not old.strip() or not disruptors:
+        spellings = ("+".join(technology_names(old)), "+".join(technology_names(new)))
+        if not all(spellings):
             raise ValueError(f"pair {chunk!r} is incomplete")
         if shared_technology(old, new):
             raise ValueError(f"pair {chunk!r} pairs a technology with itself")
-        pairs.append((old.strip(), disruptors))
+        pairs.append(spellings)
     return tuple(pairs)
 
 

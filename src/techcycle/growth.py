@@ -112,6 +112,7 @@ class SubstitutionFit:
     fit: OlsFit
     window: tuple[int, int]
     regime: Regime
+    label: str  # "<new> vs <old>", each named as its series is
 
 
 def logistic_value(p: LogisticParams, t: float) -> float:
@@ -256,24 +257,18 @@ def odds_relation(p1: LogisticParams, p2: LogisticParams) -> OddsRelation:
 
 def implied_exponent(p_old: LogisticParams, p_new: LogisticParams) -> float:
     """Growth-rate ratio new/old: the theoretical early-phase exponent."""
-    return p_new.b / p_old.b
+    return odds_relation(p_new, p_old).exponent
 
 
 def allometric_coefficients(p_old: LogisticParams, p_new: LogisticParams) -> tuple[float, float]:
     """Early-phase power law ``new ~= A * old ** B`` as ``(log A, B)``.
 
     Far below both capacities the curves reduce to exponentials, giving
-    ``B = b_new / b_old`` and
-    ``log A = log(k_new) - B * log(k_old) + B * a_old - a_new``.
+    ``B = b_new / b_old`` and ``log A = log(k_new) - B * log(k_old) + log c1``,
+    with ``log c1 = B * a_old - a_new`` from ``odds_relation(p_new, p_old)``.
     """
-    b_ratio = implied_exponent(p_old, p_new)
-    log_a = (
-        math.log(p_new.k)
-        - b_ratio * math.log(p_old.k)
-        + b_ratio * p_old.a
-        - p_new.a
-    )
-    return log_a, b_ratio
+    odds = odds_relation(p_new, p_old)
+    return math.log(p_new.k) - odds.exponent * math.log(p_old.k) + odds.log_c1, odds.exponent
 
 
 def fit_substitution(
@@ -286,23 +281,21 @@ def fit_substitution(
     ``window=None`` selects the maximal contiguous span where both series
     are strictly positive.  Natural logarithms throughout.
     """
+    label = f"{disruptive.technology} vs {established.technology}"
     if window is None:
         window = positive_overlap_window(disruptive, established)
         if window is None:
-            raise InsufficientDataError(
-                f"{disruptive.technology} vs {established.technology}: "
-                "no overlapping strictly-positive years"
-            )
+            raise InsufficientDataError(f"{label}: no overlapping strictly-positive years")
     first, last = window
     xs: list[float] = []
     ys: list[float] = []
     for year in range(first, last + 1):
         v = established.value(year)
         ki = disruptive.value(year)
-        for label, value in ((established.technology, v), (disruptive.technology, ki)):
+        for name, value in ((established.technology, v), (disruptive.technology, ki)):
             if value is None or value <= 0.0:
                 raise TechCycleError(
-                    f"{label}: value for {year} is absent or non-positive inside window "
+                    f"{name}: value for {year} is absent or non-positive inside window "
                     f"{first}-{last}"
                 )
         xs.append(math.log(v))
@@ -318,6 +311,7 @@ def fit_substitution(
         fit=fit,
         window=(first, last),
         regime=classify_regime(fit.slope),
+        label=label,
     )
 
 

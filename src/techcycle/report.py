@@ -97,14 +97,12 @@ class MarketReport:
     table3_aggregate: CycleAggregate  # columns "share" and "dp"
     table4: tuple[CycleSummary, ...]
     table4_aggregate: CycleAggregate
-    labels: dict[str, str]
 
 
-def _events(ref: ReferenceConfig, name: str, series: RevenueSeries):
+def _events(ref: ReferenceConfig, series: RevenueSeries):
     """A technology's cycle events under the config's end threshold and begin year."""
-    return detect_events(
-        series, end_threshold_rel=ref.end_threshold_rel, a_override=ref.a_overrides.get(name)
-    )
+    a_override = ref.a_overrides.get(series.technology)
+    return detect_events(series, end_threshold_rel=ref.end_threshold_rel, a_override=a_override)
 
 
 def pair_row(
@@ -113,13 +111,15 @@ def pair_row(
     """Crossover and disruption period (DP) of one Table 3 pairing.
 
     A DP is counted for a crossover inside the data, once per established
-    technology (``counted`` gains ``old`` when this row counts it), and only
+    technology (``counted`` gains its name when this row counts it), and only
     once its revenue has ended and fallen to ``dp_residual_max`` of its peak.
+    Rows and ``counted`` name each side by its one spelling.
     """
     with located("table3_pairs"):
         established, disruptive = dataset.series_for(old), dataset.series_for(new)
+    old, new = established.technology, disruptive.technology
     crossover = crossover_year(established, disruptive)
-    events = _events(ref, old, established)
+    events = _events(ref, established)
     peak = max(established.points.values())
     latest = established.points[established.last_year]
     if crossover is None:
@@ -145,24 +145,19 @@ def pair_row(
     )
 
 
-def table3_pairs(
+def table3(
     dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
-) -> list[tuple[str, str]]:
-    """Table 3's pairs: the config's, else each group and the next.
+) -> list[PairRow]:
+    """Table 3: a row for each of the config's pairs, else each group and the next.
 
-    With ``last``, the pairs up to that pair, or that pair alone if unlisted.
+    With ``last``, the rows up to that pair, or its row alone if unlisted;
+    ``last`` and the config name each side by its one spelling.
     """
-    if ref.table3_pairs:
-        pairs = [(old, "+".join(new)) for old, new in ref.table3_pairs]
-    else:
+    pairs = list(ref.table3_pairs)
+    if not pairs:
         pairs = [(old.name, new.name) for old, new in zip(dataset.groups, dataset.groups[1:])]
     if last is not None:
         pairs = pairs[: pairs.index(last) + 1] if last in pairs else [last]
-    return pairs
-
-
-def table3(dataset: Dataset, ref: ReferenceConfig, pairs: list[tuple[str, str]]) -> list[PairRow]:
-    """Table 3: one row for each of ``pairs``, as ``table3_pairs`` lists them."""
     counted: set[str] = set()
     return [pair_row(dataset, ref, old, new, counted) for old, new in pairs]
 
@@ -171,10 +166,7 @@ def cycle_table(
     dataset: Dataset, ref: ReferenceConfig
 ) -> tuple[list[CycleSummary], CycleAggregate]:
     """Table 4: every group's cycle summary, in group order, and their aggregate."""
-    summaries = [
-        cycle_metrics(_events(ref, group.name, dataset.series[group.name]))
-        for group in dataset.groups
-    ]
+    summaries = [cycle_metrics(_events(ref, series)) for series in dataset.series.values()]
     return summaries, aggregate_cycles(summaries)
 
 
@@ -191,7 +183,7 @@ def _fit(dataset: Dataset, table: str, old: str, new: str, window) -> Substituti
 def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
     table1 = _fit(dataset, "table1", ref.table1_old, ref.table1_new, ref.table1_window)
     table2 = _fit(dataset, "table2", ref.table2_old, ref.table2_new, ref.table2_window)
-    rows = table3(dataset, ref, table3_pairs(dataset, ref))
+    rows = table3(dataset, ref)
     shares = [
         row.crossover.established_share
         for row in rows
@@ -206,19 +198,15 @@ def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
         table3_aggregate=column_stats(share=shares, dp=dps),
         table4=tuple(summaries),
         table4_aggregate=aggregate,
-        labels={
-            "table1": f"{ref.table1_new} vs {ref.table1_old}",
-            "table2": f"{ref.table2_new} vs {ref.table2_old}",
-        },
     )
 
 
 # ------------------------------------------------------------------ fits
 
-def fit_to_mapping(fit: SubstitutionFit, label: str) -> dict:
+def fit_to_mapping(fit: SubstitutionFit) -> dict:
     ols = fit.fit
     return {
-        "pair": label,
+        "pair": fit.label,
         "window_first": fit.window[0],
         "window_last": fit.window[1],
         "n": ols.n,
@@ -239,10 +227,10 @@ def fit_to_mapping(fit: SubstitutionFit, label: str) -> dict:
     }
 
 
-def render_fit_text(fit: SubstitutionFit, label: str) -> str:
+def render_fit_text(fit: SubstitutionFit) -> str:
     ols = fit.fit
     lines = [
-        f"Substitution fit: {label}",
+        f"Substitution fit: {fit.label}",
         f"Window: {fit.window[0]}-{fit.window[1]}  (n={ols.n}, natural logs)",
         "",
         f"{'term':<12}{'estimate':>12}{'std err':>12}{'t':>10}{'p':>10}  sig",
@@ -277,6 +265,7 @@ def pair_to_mapping(row: PairRow) -> dict:
         "end_year": row.events.z_year,
         "end_censored": row.events.censored,
         "disruption_period_years": row.disruption_period,
+        "dp_note": row.dp_note,
     }
 
 
@@ -394,16 +383,9 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
     plots.mkdir(exist_ok=True)
     written: list[Path] = []
 
-    labels = report.labels
     tables = {
-        "table1": (
-            fit_to_mapping(report.table1, labels["table1"]),
-            render_fit_text(report.table1, labels["table1"]),
-        ),
-        "table2": (
-            fit_to_mapping(report.table2, labels["table2"]),
-            render_fit_text(report.table2, labels["table2"]),
-        ),
+        "table1": (fit_to_mapping(report.table1), render_fit_text(report.table1)),
+        "table2": (fit_to_mapping(report.table2), render_fit_text(report.table2)),
         "table3": (
             {
                 "rows": [pair_to_mapping(row) for row in report.table3],

@@ -167,6 +167,14 @@ class TestFit:
         assert code == 2
         assert "betamax" in err and "cassette" in err
 
+    def test_label_is_spelled_from_the_series(self, capsys):
+        code, out, _ = run_cli("fit", "--old", "cassette", "--new", "cd\n", "--format", "csv",
+                               capsys=capsys)
+        assert code == 0
+        lines = [line for line in out.splitlines() if line]
+        assert all(len(cells) == 2 for cells in csv.reader(lines))
+        assert "pair,cd vs cassette" in lines
+
     def test_insufficient_window_exits_3(self, capsys):
         code, _, err = run_cli(
             "fit", "--old", "cassette", "--new", "cd", "--window", "1990:1991",
@@ -280,15 +288,19 @@ class TestCrossover:
         rows = json.loads((tmp_path / "table3.json").read_text())["rows"]
         assert len(rows) == len(reference.table3_pairs) == 6
         for row in rows:
-            code, out, _ = run_cli("crossover", "--old", row["established"],
-                                   "--new", row["disruptive"], "--format", "json",
-                                   capsys=capsys)
-            assert code == 0
-            assert json.loads(out) == row
+            # as the table spells the pair, then padded with --new's names reversed
+            reversed_new = " + ".join(reversed(row["disruptive"].split("+")))
+            for old, new in ((row["established"], row["disruptive"]),
+                             (f" {row['established']} ", f" {reversed_new} ")):
+                code, out, _ = run_cli("crossover", "--old", old, "--new", new,
+                                       "--format", "json", capsys=capsys)
+                assert code == 0
+                assert json.loads(out) == row
 
     @pytest.mark.parametrize("old, new, reason", [
         ("vinyl", "8-track", "boundary crossover"),
         ("cd", "download+streaming", "already counted for cd"),
+        ("cd ", "streaming+download", "already counted for cd"),
         ("download", "streaming", "download still at 24.83% of peak"),
     ])
     def test_omitted_dp_prints_its_reason(self, capsys, old, new, reason):

@@ -110,7 +110,7 @@ class TestReferenceConfig:
         assert ref.table1_window == (1984, 1990)
         assert ref.table2_window == (2004, 2018)
         assert ref.a_overrides["vinyl"] == 1930
-        assert ("cd", ("download", "streaming")) in ref.table3_pairs
+        assert ("cd", "download+streaming") in ref.table3_pairs
 
     def test_defaults_for_missing_keys(self, tmp_path):
         path = tmp_path / "r.cfg"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techcycle.cycle import (
+    CrossoverResult,
     CycleEvents,
     aggregate_cycles,
     crossover_year,
@@ -171,6 +172,12 @@ class TestCrossover:
         new = series({2000: 9.0, 2001: 9.0}, "new")
         result = crossover_year(old, new)
         assert result.year == 2000 and result.boundary
+
+    def test_incomparable_years_are_skipped(self):
+        # 2001 has no combined revenue and 2002 no established value
+        old = series({2000: 10.0, 2001: 0.0, 2003: 4.0}, "old")
+        new = series({2000: 1.0, 2001: 0.0, 2002: 5.0, 2003: 6.0}, "new")
+        assert crossover_year(old, new) == CrossoverResult(2003, 40.0, boundary=False)
 
     @given(st.floats(0.001, 1000.0))
     @settings(max_examples=50)

@@ -138,6 +138,8 @@ CLI = {
             ("crossover", "table3_pairs = vinyl:c.d; download:streaming",
              f"table3_pairs: unknown technology 'c.d'; known: {KNOWN}"),
             ("report", "table3_pairs = :cd", "table3_pairs: pair ':cd' is incomplete"),
+            ("cycles", "table3_pairs = +:cd; vinyl:8-track",
+             "table3_pairs: pair '+:cd' is incomplete"),
         )
     },
     "config-empty-key": (
@@ -176,6 +178,13 @@ CLI = {
         ["simulate", "--scenario", "{tmp}/s.cfg"], {"s.cfg": "k1 = 1000\n"}, 2,
         "error: {tmp}/s.cfg: scenario config missing key 'a1'\n",
     ),
+    "scenario-malformed-number": (
+        ["simulate", "--scenario", "{tmp}/s.cfg"],
+        {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
+         .replace("k1 = 1000", "k1 = 1e3x")}, 2,
+        "error: {tmp}/s.cfg: scenario config has a malformed number: could not convert string "
+        "to float: '1e3x'\n",
+    ),
     "scenario-huge-range": (
         ["simulate", "--scenario", "{tmp}/s.cfg", "--out", "{tmp}/out"],
         {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
@@ -198,6 +207,10 @@ CLI = {
     "revenue-empty-format": (
         ["validate", *TINY], tiny("2000, ,10.0,,\n"), 2,
         "error: {tmp}/data.csv: row 1: empty format label\n",
+    ),
+    "revenue-year-not-integer": (
+        ["validate", *TINY], tiny("20x0,Old,10.0,,\n"), 2,
+        "error: {tmp}/data.csv: row 1, column year: '20x0' is not an integer\n",
     ),
     "revenue-duplicate-row": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,

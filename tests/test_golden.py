@@ -23,11 +23,11 @@ REPORT = {
         "36ac0a81ddaabf09b2fb026d13bcf2d876e2b247f23ea35b890e2be865ec40cb",
     ),
     "json": (
-        "99b55b696bd5010c0385cbbaf6b60ff30e4147c050ff6c64a9aee6b90d8ecf87",
+        "2f47c656369d41b3bb6083bd23617659a1b9f625ab6d62e19da97f7fb5112de5",
         "15623b08e9e1cf71f949e78025d5dd67dfd62384b5e2d7dec39dac846b6999c2",
     ),
     "csv": (
-        "26c771a4ecb0f3dd95de4f05c03807ed62d84ddee6c18d772ad82a36550aafe6",
+        "9589ee30f00960155ebe99d247f50197c5d033cad562e3eda0991b1a1593c87a",
         "4fb4b729f2e0694ff68a363ffce6fab711863f1c0d841a677f870c81ea208854",
     ),
 }

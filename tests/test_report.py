@@ -76,7 +76,7 @@ class TestTable3Rows:
 
 class TestFitRendering:
     def test_mapping_round_trips_through_json(self, market):
-        payload = json.loads(json.dumps(fit_to_mapping(market.table2, "x")))
+        payload = json.loads(json.dumps(fit_to_mapping(market.table2)))
         assert payload["regime"] == "NegativeCoupling"
         assert payload["n"] == 15
 
@@ -84,10 +84,10 @@ class TestFitRendering:
         same = RevenueSeries(technology="t", base_year=2018,
                              points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
         fit = fit_substitution(same, same)
-        text = render_fit_text(fit, "t vs t")
+        text = render_fit_text(fit)
         assert "F = inf" in text
         assert math.isinf(fit.fit.f_stat)
 
     def test_labels_present(self, market):
-        assert market.labels["table1"] == "cd vs cassette"
-        assert market.labels["table2"] == "streaming vs cd"
+        assert market.table1.label == "cd vs cassette"
+        assert market.table2.label == "streaming vs cd"
