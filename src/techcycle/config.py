@@ -21,18 +21,6 @@ from .errors import TechCycleError, located
 from .market_data import (YEAR_MAX, YEAR_MIN, CpiTable, RevenueRecord, TechnologyGroup,
                           parse_revenue_table)
 
-__all__ = [
-    "read_kv_file",
-    "load_groups",
-    "load_cpi_csv",
-    "load_revenue_csv",
-    "ReferenceConfig",
-    "load_reference",
-    "parse_window_spec",
-    "default_data_dir",
-    "DATA_DIR_ENV",
-]
-
 DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
 _NAME = re.compile(r"[A-Za-z0-9_-]+")  # the rule that load_groups states
 _NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"

@@ -36,8 +36,6 @@ from .market_data import (
 )
 from .regress import significance_stars
 
-__all__ = ["Dataset", "PairRow", "MarketReport", "load_dataset", "build_report"]
-
 
 @frozen
 class Dataset:

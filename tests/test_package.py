@@ -1,8 +1,8 @@
-"""The package namespace: lazy public names that load only what they need,
-and the few places that catch the package's own errors."""
+"""The package root, which defines no analysis name, so importing one
+submodule loads only what that one needs; and the few places that catch the
+package's own errors."""
 
 import ast
-import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,24 +11,6 @@ import pytest
 
 import techcycle
 from techcycle import errors
-
-
-def test_public_names_are_the_submodule_objects():
-    assert len(techcycle.__all__) == 40
-    for name in techcycle.__all__:
-        value = getattr(techcycle, name)
-        assert value.__module__.startswith("techcycle.")
-        assert getattr(importlib.import_module(value.__module__), name) is value
-
-
-def test_from_import_of_every_public_name():
-    namespace = {}
-    exec("from techcycle import *", namespace)
-    assert set(techcycle.__all__) <= set(namespace)
-
-
-def test_dir_lists_the_public_names():
-    assert set(techcycle.__all__) <= set(dir(techcycle))
 
 
 @pytest.mark.parametrize("name", ["serialize_revenue_table", "no_such_name"])
