@@ -8,8 +8,6 @@ keys individually.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import re
 from pathlib import Path
@@ -19,7 +17,7 @@ from typing import Mapping
 from ._record import frozen
 from .errors import TechCycleError, located
 from .market_data import (YEAR_MAX, YEAR_MIN, CpiTable, RevenueRecord, TechnologyGroup,
-                          parse_revenue_table)
+                          parse_cpi_table, parse_revenue_table)
 
 DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
 _NAME = re.compile(r"[A-Za-z0-9_-]+")  # the rule that load_groups states
@@ -44,13 +42,13 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise TechCycleError(f"{path}, line {line_no}: expected 'name = value'")
+            raise TechCycleError(f"{path}: line {line_no}: expected 'name = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if not key:
-            raise TechCycleError(f"{path}, line {line_no}: empty key")
+            raise TechCycleError(f"{path}: line {line_no}: empty key")
         if key in values:
-            raise TechCycleError(f"{path}, line {line_no}: duplicate key {key!r}")
+            raise TechCycleError(f"{path}: line {line_no}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -82,29 +80,9 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
 
 
 def load_cpi_csv(path: str | Path) -> CpiTable:
-    """Read a ``year,index`` CSV into a CPI table."""
-    entries: dict[int, float] = {}
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise TechCycleError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not rows or [h.strip() for h in rows[0]] != ["year", "index"]:
-        raise TechCycleError(f"{path}: expected header 'year,index'")
-    for row_no, row in enumerate(rows[1:], start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise TechCycleError(f"{path}, data row {row_no}: expected 2 cells, got {len(row)}")
-        try:
-            year, index = int(row[0]), float(row[1])
-        except ValueError:
-            raise TechCycleError(f"{path}, data row {row_no}: malformed entry {row!r}") from None
-        if year in entries:
-            raise TechCycleError(f"{path}: duplicate CPI year {year}")
-        entries[year] = index
+    text = _read_text(path)
     with located(path):
-        return CpiTable(entries=entries)
+        return parse_cpi_table(text)
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:

@@ -127,12 +127,8 @@ class CpiTable:
         return self.entries[BASE_YEAR] / self.entries[year]
 
 
-def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
-    """Parse CSV content into records, preserving input row order.
-
-    The header must be exactly ``year,format,revenue_nominal_musd,
-    revenue_real_musd,units_m``.  Blank optional cells become absent values.
-    """
+def _data_rows(raw_text: str, header: tuple[str, ...]):
+    """The numbered non-blank rows under ``header``, each with one cell per column."""
     reader = csv.reader(io.StringIO(raw_text))
     try:
         rows = list(reader)
@@ -140,18 +136,25 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
         raise TechCycleError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise TechCycleError("empty input: missing header row")
-    header = rows[0]
-    if tuple(h.strip() for h in header) != REVENUE_HEADER:
-        raise TechCycleError(
-            f"unexpected header {header!r}; expected {','.join(REVENUE_HEADER)}"
-        )
-    records: list[RevenueRecord] = []
-    seen: set[tuple[int, str]] = set()
+    if tuple(h.strip() for h in rows[0]) != header:
+        raise TechCycleError(f"unexpected header {rows[0]!r}; expected {','.join(header)}")
     for row_no, row in enumerate(rows[1:], start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(REVENUE_HEADER):
-            raise TechCycleError(f"row {row_no}: expected {len(REVENUE_HEADER)} cells, got {len(row)}")
+        if len(row) != len(header):
+            raise TechCycleError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+        yield row_no, row
+
+
+def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
+    """Parse CSV content into records, preserving input row order.
+
+    The header must be exactly ``year,format,revenue_nominal_musd,
+    revenue_real_musd,units_m``.  Blank optional cells become absent values.
+    """
+    records: list[RevenueRecord] = []
+    seen: set[tuple[int, str]] = set()
+    for row_no, row in _data_rows(raw_text, REVENUE_HEADER):
         year = _parse_int(row[0], row_no, "year")
         fmt = row[1].strip()
         if not fmt:
@@ -171,6 +174,20 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
             )
         )
     return records
+
+
+def parse_cpi_table(raw_text: str) -> CpiTable:
+    """Parse ``year,index`` CSV content into a CPI table."""
+    entries: dict[int, float] = {}
+    for row_no, row in _data_rows(raw_text, ("year", "index")):
+        year = _parse_int(row[0], row_no, "year")
+        index = _parse_optional_float(row[1], row_no, "index")
+        if index is None:
+            raise TechCycleError(f"row {row_no}: empty index")
+        if year in entries:
+            raise TechCycleError(f"row {row_no}: duplicate entry for year {year}")
+        entries[year] = index
+    return CpiTable(entries=entries)
 
 
 def adjust_inflation(records: list[RevenueRecord], cpi: CpiTable) -> list[RevenueRecord]:

@@ -118,7 +118,6 @@ def pair_row(
     old, new = established.technology, disruptive.technology
     crossover = crossover_year(established, disruptive)
     events = _events(ref, established)
-    peak = max(established.points.values())
     latest = established.points[established.last_year]
     if crossover is None:
         note = "no crossover in data"
@@ -128,7 +127,7 @@ def pair_row(
         note = f"already counted for {old} in an earlier pair"
     elif events.m_year is None or events.z_year is None:
         note = f"{old} has no peak and end in the data"
-    elif latest > ref.dp_residual_max * peak:
+    elif latest > ref.dp_residual_max * (peak := established.points[events.m_year]):
         note = f"{old} still at {100.0 * latest / peak:.2f}% of peak, above dp_residual_max"
     else:
         note = None

@@ -99,7 +99,7 @@ CLI = {
     ),
     "oversized-cpi": (
         ["validate", "--cpi", "{tmp}/big.csv"], {"big.csv": oversized("cpi.csv")}, 2,
-        "error: {tmp}/big.csv, line 49: field larger than field limit (131072)\n",
+        "error: {tmp}/big.csv: line 49: field larger than field limit (131072)\n",
     ),
     "revenue-cell": (
         ["validate", "--data", "{tmp}/data.csv"],
@@ -144,7 +144,7 @@ CLI = {
     },
     "config-empty-key": (
         ["cycles", "--config", "{tmp}/r.cfg"], reference("end_threshold_rel", "= 0.01"), 2,
-        "error: {tmp}/r.cfg, line 7: empty key\n",
+        "error: {tmp}/r.cfg: line 7: empty key\n",
     ),
     **{
         f"config-table1_window={window}": (
@@ -222,7 +222,24 @@ CLI = {
     ),
     "cpi-extra-cell": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80,5\n2018,100\n"), 2,
-        "error: {tmp}/cpi.csv, data row 1: expected 2 cells, got 3\n",
+        "error: {tmp}/cpi.csv: row 1: expected 2 cells, got 3\n",
+    ),
+    "cpi-index-not-number": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,abc\n2018,100\n"), 2,
+        "error: {tmp}/cpi.csv: row 1, column index: 'abc' is not a number\n",
+    ),
+    "cpi-empty-index": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000, \n2018,100\n"), 2,
+        "error: {tmp}/cpi.csv: row 1: empty index\n",
+    ),
+    "cpi-duplicate-year": (
+        ["validate", *TINY],
+        tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n2018,100\n2000,81\n"), 2,
+        "error: {tmp}/cpi.csv: row 3: duplicate entry for year 2000\n",
+    ),
+    "cpi-header": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,cpi\n2000,80\n2018,100\n"), 2,
+        "error: {tmp}/cpi.csv: unexpected header ['year', 'cpi']; expected year,index\n",
     ),
     "cpi-missing-base-year": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
