@@ -20,9 +20,9 @@ from . import report as report_mod
 from .config import (default_data_dir, load_reference, parse_window_spec, read_kv_file,
                      shared_technology)
 
-# detect_events checks the config's begin-year overrides; the other three are
-# not called here (Tables 3 and 4 are computed in report.py), but
-# perfbench/tracing.py looks these names up in this module.
+# Not called here (report.py computes the cycle events and Tables 3 and 4);
+# imported only because perfbench/tracing.py looks these names up in this
+# module, and its test's _originals has no getattr default.
 from .cycle import aggregate_cycles, crossover_year, cycle_metrics, detect_events  # noqa: F401
 from .errors import InsufficientDataError, TechCycleError, located
 from .growth import fit_substitution
@@ -127,19 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args):
-    """The dataset and the reference config of a subcommand that takes --config.
-
-    Each begin-year override must name a technology of the dataset and a year
-    no later than its first revenue year, unless none names one (a config for
-    other data).
-    """
-    dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
-    ref = load_reference(args.config)
-    if any(name in dataset.series for name in ref.a_overrides):
-        for name, year in ref.a_overrides.items():
-            with located(f"{args.config}: a_override.{name}"):
-                detect_events(dataset.series_for(name), a_override=year)
-    return dataset, ref
+    """The dataset and the reference config of a subcommand that takes --config."""
+    return report_mod.load_dataset(args.data, args.cpi, args.groups), load_reference(args.config)
 
 
 def _emit(args, mapping: dict, text: str) -> None:
@@ -183,7 +172,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    summaries, aggregate = report_mod.cycle_table(*_load_inputs(args))
+    dataset, ref = _load_inputs(args)
+    with located(args.config):
+        events = report_mod.cycle_events(dataset, ref)
+    summaries, aggregate = report_mod.cycle_table(events)
     _emit(
         args,
         report_mod.table4_to_mapping(summaries, aggregate),
@@ -194,9 +186,11 @@ def cmd_cycles(args) -> int:
 
 def cmd_crossover(args) -> int:
     dataset, ref = _load_inputs(args)
+    with located(args.config):
+        events = report_mod.cycle_events(dataset, ref)
     old, new = _pair(args, dataset)
     with located(args.config):
-        row = report_mod.table3(dataset, ref, last=(old.technology, new.technology))[-1]
+        row = report_mod.table3(dataset, ref, events, last=(old.technology, new.technology))[-1]
     cross = row.crossover
     if cross is None:
         text = "no crossover in data\n"

@@ -97,73 +97,66 @@ class MarketReport:
     table4_aggregate: CycleAggregate
 
 
-def _events(ref: ReferenceConfig, series: RevenueSeries):
-    """A technology's cycle events under the config's end threshold and begin year."""
-    a_override = ref.a_overrides.get(series.technology)
-    return detect_events(series, end_threshold_rel=ref.end_threshold_rel, a_override=a_override)
-
-
-def pair_row(
-    dataset: Dataset, ref: ReferenceConfig, old: str, new: str, counted: set[str]
-) -> PairRow:
-    """Crossover and disruption period (DP) of one Table 3 pairing.
-
-    A DP is counted for a crossover inside the data, once per established
-    technology (``counted`` gains its name when this row counts it), and only
-    once its revenue has ended and fallen to ``dp_residual_max`` of its peak.
-    Rows and ``counted`` name each side by its one spelling.
+def cycle_events(dataset: Dataset, ref: ReferenceConfig) -> dict[str, CycleEvents]:
+    """Each group's cycle events, in group order, under the config's end threshold
+    and begin years.  Checked in config order, each begin-year override must name
+    a group and a year no later than its first revenue year, unless none names a
+    group (a config for other data).
     """
-    with located("table3_pairs"):
-        established, disruptive = dataset.series_for(old), dataset.series_for(new)
-    old, new = established.technology, disruptive.technology
-    crossover = crossover_year(established, disruptive)
-    events = _events(ref, established)
-    latest = established.points[established.last_year]
-    if crossover is None:
-        note = "no crossover in data"
-    elif crossover.boundary:
-        note = "boundary crossover, earlier years unobserved"
-    elif old in counted:
-        note = f"already counted for {old} in an earlier pair"
-    elif events.m_year is None or events.z_year is None:
-        note = f"{old} has no peak and end in the data"
-    elif latest > ref.dp_residual_max * (peak := established.points[events.m_year]):
-        note = f"{old} still at {100.0 * latest / peak:.2f}% of peak, above dp_residual_max"
-    else:
-        note = None
-        counted.add(old)
-    return PairRow(
-        established=old,
-        disruptive=new,
-        crossover=crossover,
-        events=events,
-        disruption_period=None if note else cycle_metrics(events).mz,
-        dp_note=note,
-    )
+    events = {}
+    if any(name in dataset.series for name in ref.a_overrides):
+        for name, year in ref.a_overrides.items():
+            with located(f"a_override.{name}"):
+                events[name] = detect_events(dataset.series_for(name), ref.end_threshold_rel, year)
+    return {name: events[name] if name in events else detect_events(series, ref.end_threshold_rel)
+            for name, series in dataset.series.items()}
 
 
-def table3(
-    dataset: Dataset, ref: ReferenceConfig, last: tuple[str, str] | None = None
-) -> list[PairRow]:
+def table3(dataset: Dataset, ref: ReferenceConfig, events: dict[str, CycleEvents],
+           last: tuple[str, str] | None = None) -> list[PairRow]:
     """Table 3: a row for each of the config's pairs, else each group and the next.
 
-    With ``last``, the rows up to that pair, or its row alone if unlisted;
-    ``last`` and the config name each side by its one spelling.
+    A row's disruption period (DP) is counted for a crossover inside the data,
+    once per established technology, and only once its revenue has ended and
+    fallen to ``dp_residual_max`` of its peak.  ``events`` maps each group to
+    its ``cycle_events``; a combined established side, no group, takes no
+    begin-year override.  With ``last``, the rows up to that pair, or its row
+    alone if unlisted; ``last`` and the config name each side by its one spelling.
     """
     pairs = list(ref.table3_pairs)
     if not pairs:
         pairs = [(old.name, new.name) for old, new in zip(dataset.groups, dataset.groups[1:])]
     if last is not None:
         pairs = pairs[: pairs.index(last) + 1] if last in pairs else [last]
-    counted: set[str] = set()
-    return [pair_row(dataset, ref, old, new, counted) for old, new in pairs]
+    rows: list[PairRow] = []
+    for old, new in pairs:
+        with located("table3_pairs"):
+            established, disruptive = dataset.series_for(old), dataset.series_for(new)
+        old, new = established.technology, disruptive.technology
+        crossover = crossover_year(established, disruptive)
+        ev = events[old] if old in events else detect_events(established, ref.end_threshold_rel)
+        latest = established.points[established.last_year]
+        if crossover is None:
+            note = "no crossover in data"
+        elif crossover.boundary:
+            note = "boundary crossover, earlier years unobserved"
+        elif any(row.established == old and row.disruption_period is not None for row in rows):
+            note = f"already counted for {old} in an earlier pair"
+        elif ev.m_year is None or ev.z_year is None:
+            note = f"{old} has no peak and end in the data"
+        elif latest > ref.dp_residual_max * (peak := established.points[ev.m_year]):
+            note = f"{old} still at {100.0 * latest / peak:.2f}% of peak, above dp_residual_max"
+        else:
+            note = None
+        dp = None if note else cycle_metrics(ev).mz
+        rows.append(PairRow(old, new, crossover, ev, disruption_period=dp, dp_note=note))
+    return rows
 
 
-def cycle_table(
-    dataset: Dataset, ref: ReferenceConfig
-) -> tuple[list[CycleSummary], CycleAggregate]:
-    """Table 4: every group's cycle summary, in group order, and their aggregate."""
-    summaries = [cycle_metrics(_events(ref, series)) for series in dataset.series.values()]
+def cycle_table(events: dict[str, CycleEvents]) -> tuple[list[CycleSummary], CycleAggregate]:
+    """Table 4: each technology's cycle summary, in the order of ``events``,
+    and their aggregate."""
+    summaries = [cycle_metrics(ev) for ev in events.values()]
     return summaries, aggregate_cycles(summaries)
 
 
@@ -178,16 +171,17 @@ def _fit(dataset: Dataset, table: str, old: str, new: str, window) -> Substituti
 
 
 def build_report(dataset: Dataset, ref: ReferenceConfig) -> MarketReport:
+    events = cycle_events(dataset, ref)
     table1 = _fit(dataset, "table1", ref.table1_old, ref.table1_new, ref.table1_window)
     table2 = _fit(dataset, "table2", ref.table2_old, ref.table2_new, ref.table2_window)
-    rows = table3(dataset, ref)
+    rows = table3(dataset, ref, events)
     shares = [
         row.crossover.established_share
         for row in rows
         if row.crossover is not None and not row.crossover.boundary
     ]
     dps = [float(row.disruption_period) for row in rows if row.disruption_period is not None]
-    summaries, aggregate = cycle_table(dataset, ref)
+    summaries, aggregate = cycle_table(events)
     return MarketReport(
         table1=table1,
         table2=table2,
