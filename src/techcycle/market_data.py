@@ -218,10 +218,11 @@ def aggregate_group(records: list[RevenueRecord], group: TechnologyGroup) -> Rev
     """Sum constant-dollar revenue of the group's formats, year by year.
 
     Years in which no member format reports are absent from the result,
-    not zero.  Records must already be inflation-adjusted.
+    not zero.  Records must already be inflation-adjusted.  Each sum is
+    correctly rounded (``math.fsum``), so it does not depend on record order.
     """
     wanted = set(group.formats)
-    totals: dict[int, float] = {}
+    values: dict[int, list[float]] = {}
     matched = False
     for record in records:
         if record.format not in wanted:
@@ -231,11 +232,12 @@ def aggregate_group(records: list[RevenueRecord], group: TechnologyGroup) -> Rev
             raise TechCycleError(
                 f"{record.year} {record.format!r}: missing real revenue; run adjust_inflation first"
             )
-        totals[record.year] = totals.get(record.year, 0.0) + record.revenue_real
+        values.setdefault(record.year, []).append(record.revenue_real)
     if not matched:
         raise TechCycleError(
             f"group {group.name!r} matched no record (formats: {', '.join(group.formats)})"
         )
+    totals = {year: math.fsum(parts) for year, parts in values.items()}
     return RevenueSeries(technology=group.name, base_year=BASE_YEAR, points=totals)
 
 
@@ -261,13 +263,15 @@ def positive_overlap_window(a: RevenueSeries, b: RevenueSeries) -> tuple[int, in
 
 
 def merge_series(name: str, parts: list[RevenueSeries]) -> RevenueSeries:
-    """Pointwise sum of several technologies (e.g. a combined disruptor)."""
+    """Pointwise sum of several technologies (e.g. a combined disruptor),
+    correctly rounded as in ``aggregate_group``."""
     if not parts:
         raise TechCycleError("merge_series needs at least one series")
-    totals: dict[int, float] = {}
+    values: dict[int, list[float]] = {}
     for part in parts:
         for year, value in part.points.items():
-            totals[year] = totals.get(year, 0.0) + value
+            values.setdefault(year, []).append(value)
+    totals = {year: math.fsum(addends) for year, addends in values.items()}
     return RevenueSeries(technology=name, base_year=parts[0].base_year, points=totals)
 
 

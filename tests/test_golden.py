@@ -19,15 +19,15 @@ SCENARIO = str(default_data_dir() / "scenarios" / "dual_logistic_demo.cfg")
 # format -> (digest of the written tree, digest of stdout)
 REPORT = {
     "text": (
-        "b218487774ca3192ed5b0c1bfe1db53ee06f89c806813902ff72d1f96b372619",
+        "d27e694abf2ac1c3f49d9abfda6267efb114a807633d0e3246d1effbde94ada5",
         "36ac0a81ddaabf09b2fb026d13bcf2d876e2b247f23ea35b890e2be865ec40cb",
     ),
     "json": (
-        "2f47c656369d41b3bb6083bd23617659a1b9f625ab6d62e19da97f7fb5112de5",
+        "b0177bdf2dfc16a0adb48a3139fa67a41ef11ce50f48e5c7e6a216b440fdb373",
         "15623b08e9e1cf71f949e78025d5dd67dfd62384b5e2d7dec39dac846b6999c2",
     ),
     "csv": (
-        "9589ee30f00960155ebe99d247f50197c5d033cad562e3eda0991b1a1593c87a",
+        "ae14a96b67ed25dbbf4b39e4b4fc7bbff86de15b1c0ddab6418e45bc08181966",
         "4fb4b729f2e0694ff68a363ffce6fab711863f1c0d841a677f870c81ea208854",
     ),
 }
