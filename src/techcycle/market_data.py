@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from ._record import frozen
-from .errors import TechCycleError
+from .errors import TechCycleError, located
 
 REVENUE_HEADER = ("year", "format", "revenue_nominal_musd", "revenue_real_musd", "units_m")
 
@@ -168,11 +168,8 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
         if key in seen:
             raise TechCycleError(f"row {row_no}: duplicate entry for ({year}, {fmt!r})")
         seen.add(key)
-        records.append(
-            RevenueRecord(
-                year=year, format=fmt, revenue_nominal=nominal, revenue_real=real, units=units
-            )
-        )
+        with located(f"row {row_no}"):
+            records.append(RevenueRecord(year, fmt, nominal, real, units))
     return records
 
 
@@ -184,6 +181,8 @@ def parse_cpi_table(raw_text: str) -> CpiTable:
         index = _parse_optional_float(row[1], row_no, "index")
         if index is None:
             raise TechCycleError(f"row {row_no}: empty index")
+        if index <= 0:
+            raise TechCycleError(f"row {row_no}, column index: {row[1]!r} is not positive")
         if year in entries:
             raise TechCycleError(f"row {row_no}: duplicate entry for year {year}")
         entries[year] = index

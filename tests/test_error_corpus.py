@@ -216,6 +216,18 @@ CLI = {
         ["validate", *TINY], tiny("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,
         "error: {tmp}/data.csv: row 2: duplicate entry for (2000, 'Old')\n",
     ),
+    "revenue-year-out-of-range": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n1850,Old,5.0,,\n"), 2,
+        "error: {tmp}/data.csv: row 2: year 1850 outside [1900, 2100]\n",
+    ),
+    "revenue-negative": (
+        ["validate", *TINY], tiny("2000,Old,-5,,\n"), 2,
+        "error: {tmp}/data.csv: row 1: 2000 'Old': revenue_nominal must be >= 0\n",
+    ),
+    "cpi-index-not-positive": (
+        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,0\n2018,100\n"), 2,
+        "error: {tmp}/cpi.csv: row 1, column index: '0' is not positive\n",
+    ),
     "cpi-missing-year": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: no CPI index for year 2000\n",
