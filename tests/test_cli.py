@@ -308,6 +308,23 @@ class TestCrossover:
         assert code == 0
         assert f"disruption period: not counted ({reason}" in out
 
+    def test_combined_established_side(self, capsys):
+        # not a group, so no begin-year override applies: its row computes its own events
+        code, out, err = run_cli("crossover", "--old", "cd+download", "--new", "streaming",
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == ("crossover year: 2016\nestablished share: 39.03%\n"
+                       "disruption period: 19 years (peak 2000, end 2019*)\n")
+        code, out, _ = run_cli("crossover", "--old", "download+cd", "--new", "streaming",
+                               "--format", "json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "established": "cd+download", "disruptive": "streaming", "crossover_year": 2016,
+            "established_share_pct": 39.032270325744044, "crossover_at_boundary": False,
+            "peak_year": 2000, "end_year": 2019, "end_censored": True,
+            "disruption_period_years": 19, "dp_note": None,
+        }
+
     def test_no_peak_and_end_prints_its_reason(self, tmp_path, capsys):
         rows = [f"{2000 + i},{fmt},,{value!r},"
                 for fmt, values in (("Old", [1.0, 2.0, 3.0, 4.0]), ("New", [1.0, 3.0, 5.0, 7.0]))
@@ -488,6 +505,23 @@ class TestSimulate:
         assert code == 2
         assert "at most 10000" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["report", "--out", "{tmp}"], ["cycles"],
+                                  ["crossover", "--old", "8-track", "--new", "cassette"]])
+def test_each_technology_events_detected_once(argv, tmp_path, monkeypatch, capsys):
+    from techcycle import cli, cycle, report
+
+    detected = []
+
+    def counting(series, *args, **kwargs):
+        detected.append(series.technology)
+        return cycle.detect_events(series, *args, **kwargs)
+
+    for module in (cli, report):  # both import the name
+        monkeypatch.setattr(module, "detect_events", counting)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    assert sorted(detected) == ["8-track", "cassette", "cd", "download", "streaming", "vinyl"]
 
 
 class TestReport:

@@ -4,6 +4,8 @@ import statistics
 
 import pytest
 
+from techcycle.config import load_reference
+from techcycle.errors import TechCycleError
 from techcycle.growth import fit_substitution
 from techcycle.market_data import RevenueSeries
 from techcycle.report import (
@@ -72,6 +74,20 @@ class TestTable3Rows:
         assert vinyl["crossover_at_boundary"] is True
         text = render_table3_text(market)
         assert "n.a." in text and "Mean disruption period" in text
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a_override.cdd = 1983", "a_override.cdd: unknown technology 'cdd'; known: "
+                              "8-track, cassette, cd, download, streaming, vinyl"),
+    ("a_override.cd = 2000", "a_override.cd: cd: begin 2000 after its first revenue year 1984"),
+])
+def test_build_report_checks_the_begin_year_overrides(dataset, data_dir, tmp_path, line,
+                                                      message):
+    path = tmp_path / "r.cfg"
+    path.write_text((data_dir / "reference.cfg").read_text().replace("a_override.cd = 1983", line))
+    with pytest.raises(TechCycleError) as exc:
+        build_report(dataset, load_reference(path))
+    assert str(exc.value) == message
 
 
 class TestFitRendering:
