@@ -103,12 +103,12 @@ def cycle_events(dataset: Dataset, ref: ReferenceConfig) -> dict[str, CycleEvent
     a group and a year no later than its first revenue year, unless none names a
     group (a config for other data).
     """
-    events = {}
+    pinned = {}
     if any(name in dataset.series for name in ref.a_overrides):
         for name, year in ref.a_overrides.items():
             with located(f"a_override.{name}"):
-                events[name] = detect_events(dataset.series_for(name), ref.end_threshold_rel, year)
-    return {name: events[name] if name in events else detect_events(series, ref.end_threshold_rel)
+                pinned[name] = detect_events(dataset.series_for(name), ref.end_threshold_rel, year)
+    return {name: pinned[name] if name in pinned else detect_events(series, ref.end_threshold_rel)
             for name, series in dataset.series.items()}
 
 
