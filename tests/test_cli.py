@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-from techcycle.cli import main
+from techcycle.cli import build_parser, main
+from techcycle.config import default_data_dir
 
 
 def run_cli(*argv, capsys=None):
@@ -60,6 +62,66 @@ def strict_json(text):
 def data_flags(path):
     return ["--data", str(path / "data.csv"), "--cpi", str(path / "cpi.csv"),
             "--groups", str(path / "groups.cfg")]
+
+
+def _flags(parser):
+    """Each action of ``parser``, in order: option strings, default (the data
+    directory spelled DATA), required, choices and help."""
+    data = str(default_data_dir())
+    return [(a.option_strings, a.default.replace(data, "DATA") if isinstance(a.default, str)
+             else a.default, a.required, None if a.choices is None else list(a.choices), a.help)
+            for a in parser._actions]
+
+
+HELP = (["-h", "--help"], "==SUPPRESS==", False, None, "show this help message and exit")
+DATA_FLAGS = [
+    (["--data"], "DATA/riaa_revenue.csv", False, None, "revenue CSV (default: bundled dataset)"),
+    (["--cpi"], "DATA/cpi.csv", False, None,
+     "CPI CSV 'year,index' (default: bundled); nominal-only rows are deflated to 2018 dollars "
+     "with it, so it must list 2018"),
+    (["--groups"], "DATA/groups.cfg", False, None, "technology grouping config (default: bundled)"),
+]
+FORMAT_FLAG = (["--format"], "text", False, ["text", "csv", "json"], "output format (default text)")
+CONFIG_FLAG = (["--config"], "DATA/reference.cfg", False, None,
+               "reference config (default: bundled reference.cfg)")
+SUBCOMMANDS = {
+    "validate": ("parse and sanity-check a dataset", "cmd_validate", [HELP, *DATA_FLAGS]),
+    "fit": ("fit the substitution exponent for one pair", "cmd_fit", [
+        HELP, *DATA_FLAGS, FORMAT_FLAG,
+        (["--old"], None, True, None, "established technology"),
+        (["--new"], None, True, None, "disruptive technology"),
+        (["--window"], "auto", False, None, "Y1:Y2 or 'auto' (default)"),
+    ]),
+    "cycles": ("lifecycle table for every technology", "cmd_cycles",
+               [HELP, *DATA_FLAGS, FORMAT_FLAG, CONFIG_FLAG]),
+    "crossover": ("first year a disruptor takes half the pair", "cmd_crossover", [
+        HELP, *DATA_FLAGS, FORMAT_FLAG, CONFIG_FLAG,
+        (["--old"], None, True, None, None),
+        (["--new"], None, True, None, None),
+    ]),
+    "simulate": ("run a synthetic dual-logistic scenario", "cmd_simulate", [
+        HELP, FORMAT_FLAG,
+        (["--scenario"], None, True, None, "scenario config file"),
+        (["--seed"], None, False, None, "override the scenario seed"),
+        (["--window"], None, False, None, "explicit fit window Y1:Y2"),
+        (["--out"], None, False, None, "directory for generated series CSV"),
+    ]),
+    "report": ("write the full analysis tables and plot series", "cmd_report", [
+        HELP, *DATA_FLAGS, FORMAT_FLAG, CONFIG_FLAG,
+        (["--out"], None, True, None, "output directory"),
+    ]),
+}
+
+
+def test_parser_flags():
+    parser = build_parser()
+    assert _flags(parser) == [HELP, ([], None, True, list(SUBCOMMANDS), None)]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, help) for name, (help, _, _) in SUBCOMMANDS.items()]
+    for name, (_, handler, flags) in SUBCOMMANDS.items():
+        assert sub.choices[name].get_default("handler").__name__ == handler
+        assert _flags(sub.choices[name]) == flags, name
 
 
 class TestValidate:

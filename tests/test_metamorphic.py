@@ -2,6 +2,8 @@
 should not matter must leave every byte of `report` unchanged, in every format.
 """
 
+import csv
+import io
 import random
 
 import pytest
@@ -11,16 +13,39 @@ from techcycle.cli import main
 FORMATS = ("text", "csv", "json")
 
 
-def _report(data_dir, data_path, out_dir, fmt, capsys):
+def _report(data_dir, data_path, out_dir, fmt, capsys, groups_path=None):
     """Every file `report` writes, by relative path, and its stdout."""
+    groups_path = groups_path or data_dir / "groups.cfg"
     argv = ["report", "--out", str(out_dir), "--format", fmt, "--data", str(data_path),
-            "--cpi", str(data_dir / "cpi.csv"), "--groups", str(data_dir / "groups.cfg"),
+            "--cpi", str(data_dir / "cpi.csv"), "--groups", str(groups_path),
             "--config", str(data_dir / "reference.cfg")]
     assert main(argv) == 0
     stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
     files = {p.relative_to(out_dir).as_posix(): p.read_bytes()
              for p in out_dir.rglob("*") if p.is_file()}
     return files, stdout
+
+
+def _rewrite(data_dir, tmp_path, rows, groups):
+    """The bundled revenue rows and groups.cfg lines passed through ``rows``
+    and ``groups``, written to ``tmp_path``; returns the two paths."""
+    header, *records = csv.reader(io.StringIO(
+        (data_dir / "riaa_revenue.csv").read_text(encoding="utf-8")))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows(records)])
+    data_path, groups_path = tmp_path / "data.csv", tmp_path / "groups.cfg"
+    data_path.write_text(out.getvalue(), encoding="utf-8")
+    lines = (data_dir / "groups.cfg").read_text(encoding="utf-8").splitlines()
+    groups_path.write_text("\n".join(map(groups, lines)) + "\n", encoding="utf-8")
+    return data_path, groups_path
+
+
+def _formats(line, rename):
+    """A groups.cfg line with each format label passed through ``rename``."""
+    name, sep, labels = line.partition("=")
+    if line.startswith("#") or not sep:
+        return line
+    return f"{name}= {'; '.join(rename(label.strip()) for label in labels.split(';'))}"
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -32,3 +57,36 @@ def test_row_order_does_not_change_the_report(fmt, data_dir, tmp_path, capsys):
     bundled = _report(data_dir, data_dir / "riaa_revenue.csv", tmp_path / "a", fmt, capsys)
     permuted = _report(data_dir, shuffled, tmp_path / "b", fmt, capsys)
     assert permuted == bundled
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_format_labels_do_not_change_the_report(fmt, data_dir, tmp_path, capsys):
+    labels = sorted({row[1] for row in csv.reader(
+        (data_dir / "riaa_revenue.csv").read_text(encoding="utf-8").splitlines()[1:])})
+    new_label = {label: f"label {i}" for i, label in enumerate(labels)}.get
+    data_path, groups_path = _rewrite(
+        data_dir, tmp_path, lambda rows: [[y, new_label(f), *rest] for y, f, *rest in rows],
+        lambda line: _formats(line, new_label))
+    bundled = _report(data_dir, data_dir / "riaa_revenue.csv", tmp_path / "a", fmt, capsys)
+    renamed = _report(data_dir, data_path, tmp_path / "b", fmt, capsys, groups_path)
+    assert renamed == bundled
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_splitting_a_format_in_halves_does_not_change_the_report(fmt, data_dir, tmp_path,
+                                                                   capsys):
+    def halves(rows):
+        for year, label, *values in rows:
+            if label != "CD":
+                yield [year, label, *values]
+                continue
+            half = ["" if not v else repr(float(v) / 2) for v in values]
+            yield from ([year, "CD", *half], [year, "CD-B", *half])
+
+    data_path, groups_path = _rewrite(
+        data_dir, tmp_path, halves,
+        lambda line: _formats(line, lambda label: "CD; CD-B" if label == "CD" else label))
+    assert "cd = CD; CD-B; CD Single" in groups_path.read_text(encoding="utf-8")
+    bundled = _report(data_dir, data_dir / "riaa_revenue.csv", tmp_path / "a", fmt, capsys)
+    split = _report(data_dir, data_path, tmp_path / "b", fmt, capsys, groups_path)
+    assert split == bundled

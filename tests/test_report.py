@@ -10,10 +10,15 @@ from techcycle.growth import fit_substitution
 from techcycle.market_data import RevenueSeries
 from techcycle.report import (
     build_report,
+    cycle_events,
+    cycle_table,
     fit_to_mapping,
+    load_dataset,
+    mapping_to_csv,
     pair_to_mapping,
     render_fit_text,
     render_table3_text,
+    render_table4_text,
 )
 
 
@@ -107,3 +112,124 @@ class TestFitRendering:
     def test_labels_present(self, market):
         assert market.table1.label == "cd vs cassette"
         assert market.table2.label == "streaming vs cd"
+
+
+class TestRenderedBytes:
+    """Whole renderer outputs, pinned byte for byte, on inputs that reach the
+    branches the bundled data do not: infinite statistics, no crossover, an
+    established side with no peak, and a column with a single entry."""
+
+    SERIES = {
+        "Old": (2000, [1.0, 4.0, 9.0, 6.0, 3.0, 1.0, 0.5, 0.05, 0.01]),
+        "Mid": (2002, [1.0, 3.0, 8.0, 12.0, 9.0, 5.0, 4.0]),
+        "New": (2005, [1.0, 3.0, 6.0, 10.0]),
+        "Fast": (2006, [0.5, 5.0, 20.0]),
+        "Solo": (1990, [2.0, 5.0, 3.0, 0.01]),
+    }
+
+    @pytest.fixture()
+    def small(self, tmp_path):
+        rows = [f"{first + i},{fmt},,{value!r},"
+                for fmt, (first, values) in self.SERIES.items() for i, value in enumerate(values)]
+        (tmp_path / "data.csv").write_text(
+            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n")
+        (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
+        (tmp_path / "groups.cfg").write_text(
+            "old = Old\nmid = Mid\nnew = New\nfast = Fast\nsolo = Solo\n")
+        (tmp_path / "reference.cfg").write_text(
+            "table1_old = old\ntable1_new = mid\ntable2_old = mid\ntable2_new = new\n"
+            "table3_pairs = old:mid; mid:new; new:fast; solo:old; fast:new\n")
+        dataset = load_dataset(tmp_path / "data.csv", tmp_path / "cpi.csv", tmp_path / "groups.cfg")
+        return dataset, load_reference(tmp_path / "reference.cfg")
+
+    def test_fit_text_with_infinite_t(self):
+        same = RevenueSeries(technology="t", base_year=2018,
+                             points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
+        assert render_fit_text(fit_substitution(same, same)) == (
+            "Substitution fit: t vs t\n"
+            "Window: 2000-2005  (n=6, natural logs)\n"
+            "\n"
+            "term            estimate     std err         t         p  sig\n"
+            "log A               0.00        0.00       inf     0.000  ***\n"
+            "B                   1.00        0.00       inf     0.000  ***\n"
+            "\n"
+            "R2 = 1.00   R2 adj. = 1.00   s.e. of estimate = 0.00\n"
+            "F = inf (p = 0.000)\n"
+            "Regime: Proportional\n"
+        )
+
+    def test_table3_text(self, small):
+        assert render_table3_text(build_report(*small)) == (
+            "Crossovers and disruption periods\n"
+            "established   disruptive             crossover  share %   peak    end   DP\n"
+            "old           mid                         2004    27.27   2002   2007    5\n"
+            "mid           new                         2007    45.45   2005  2008*     \n"
+            "new           fast                        2008    33.33                   \n"
+            "solo          old                         none            1991   1993     \n"
+            "fast          new                         n.a.  (14.29)                   \n"
+            "\n"
+            "Mean established share at crossover: 35.35%  (SD 9.26)\n"
+            "Mean disruption period: 5.00 years\n"
+            "n.a. = crossover already in force at the first comparable year\n"
+            "*   = final data year, revenues still above the end threshold\n"
+        )
+
+    def test_table4_text(self, small):
+        market = build_report(*small)
+        assert render_table4_text(market.table4, market.table4_aggregate) == (
+            "Technology cycles\n"
+            "technology       A      M      Z      AM      MZ      AZ     up %   down %\n"
+            "old           2000   2002   2007       2       5       7    28.57    71.43\n"
+            "mid           2002   2005  2008*       3       3       6    50.00    50.00\n"
+            "new           2005      *      *       *       *       *        *        *\n"
+            "fast          2006      *      *       *       *       *        *        *\n"
+            "solo          1990   1991   1993       1       2       3    33.33    66.67\n"
+            "\n"
+            "mean                                2.00    3.33    5.33    37.30    62.70\n"
+            "SD                                  1.00    1.53    2.08                  \n"
+            "\n"
+            "* = event still in progress at the end of the data\n"
+        )
+
+    def test_table4_text_with_single_entry_columns(self, small):
+        events = cycle_events(*small)
+        assert render_table4_text(*cycle_table({k: events[k] for k in ("old", "new")})) == (
+            "Technology cycles\n"
+            "technology       A      M      Z      AM      MZ      AZ     up %   down %\n"
+            "old           2000   2002   2007       2       5       7    28.57    71.43\n"
+            "new           2005      *      *       *       *       *        *        *\n"
+            "\n"
+            "mean                                2.00    5.00    7.00    28.57    71.43\n"
+            "SD                                                                        \n"
+            "\n"
+            "* = event still in progress at the end of the data\n"
+        )
+
+    def test_mapping_to_csv(self):
+        mapping = {
+            "rows": [{"name": "a,b", "flag": True, "value": None},
+                     {"name": 'say "hi"', "flag": False, "value": -0.0}],
+            "none": None, "yes": True, "no": False, "count": 7, "top": math.inf,
+            "bottom": -math.inf, "zero": -0.0, "third": 1 / 3, "comma": "x,y",
+            "quote": 'a "b" c', "outer": {"inner": {"deep": 1.5, "label": "p,q"}, "flat": None},
+        }
+        assert mapping_to_csv(mapping) == (
+            "name,flag,value\n"
+            '"a,b",true,\n'
+            '"say ""hi""",false,-0.0\n'
+            "\n"
+            "key,value\n"
+            "none,\n"
+            "yes,true\n"
+            "no,false\n"
+            "count,7\n"
+            "top,inf\n"
+            "bottom,-inf\n"
+            "zero,-0.0\n"
+            "third,0.3333333333333333\n"
+            'comma,"x,y"\n'
+            'quote,"a ""b"" c"\n'
+            "outer.inner.deep,1.5\n"
+            'outer.inner.label,"p,q"\n'
+            "outer.flat,\n"
+        )
