@@ -63,63 +63,48 @@ def build_parser() -> argparse.ArgumentParser:
         "over per-format revenue data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data_dir = default_data_dir()
+    data, fmt, config = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    data.add_argument("--data", default=str(data_dir / "riaa_revenue.csv"),
+                      help="revenue CSV (default: bundled dataset)")
+    data.add_argument("--cpi", default=str(data_dir / "cpi.csv"),
+                      help=f"CPI CSV 'year,index' (default: bundled); nominal-only rows are "
+                      f"deflated to {BASE_YEAR} dollars with it, so it must list {BASE_YEAR}")
+    data.add_argument("--groups", default=str(data_dir / "groups.cfg"),
+                      help="technology grouping config (default: bundled)")
+    fmt.add_argument("--format", choices=report_mod.FORMATS, default="text",
+                     help="output format (default text)")
+    config.add_argument("--config", default=str(data_dir / "reference.cfg"),
+                        help="reference config (default: bundled reference.cfg)")
 
-    def add_data_flags(p):
-        data_dir = default_data_dir()
-        p.add_argument("--data", default=str(data_dir / "riaa_revenue.csv"),
-                       help="revenue CSV (default: bundled dataset)")
-        p.add_argument("--cpi", default=str(data_dir / "cpi.csv"),
-                       help=f"CPI CSV 'year,index' (default: bundled); nominal-only rows are "
-                       f"deflated to {BASE_YEAR} dollars with it, so it must list {BASE_YEAR}")
-        p.add_argument("--groups", default=str(data_dir / "groups.cfg"),
-                       help="technology grouping config (default: bundled)")
-
-    def add_format_flag(p):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                       help="output format (default text)")
-
-    def add_config_flag(p):
-        p.add_argument("--config", default=str(default_data_dir() / "reference.cfg"),
-                       help="reference config (default: bundled reference.cfg)")
-
-    p = sub.add_parser("validate", help="parse and sanity-check a dataset")
-    add_data_flags(p)
+    p = sub.add_parser("validate", help="parse and sanity-check a dataset", parents=[data])
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("fit", help="fit the substitution exponent for one pair")
-    add_data_flags(p)
-    add_format_flag(p)
+    p = sub.add_parser("fit", help="fit the substitution exponent for one pair", parents=[data, fmt])
     p.add_argument("--old", required=True, help="established technology")
     p.add_argument("--new", required=True, help="disruptive technology")
     p.add_argument("--window", default="auto", help="Y1:Y2 or 'auto' (default)")
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("cycles", help="lifecycle table for every technology")
-    add_data_flags(p)
-    add_format_flag(p)
-    add_config_flag(p)
+    p = sub.add_parser("cycles", help="lifecycle table for every technology",
+                       parents=[data, fmt, config])
     p.set_defaults(handler=cmd_cycles)
 
-    p = sub.add_parser("crossover", help="first year a disruptor takes half the pair")
-    add_data_flags(p)
-    add_format_flag(p)
-    add_config_flag(p)
+    p = sub.add_parser("crossover", help="first year a disruptor takes half the pair",
+                       parents=[data, fmt, config])
     p.add_argument("--old", required=True)
     p.add_argument("--new", required=True)
     p.set_defaults(handler=cmd_crossover)
 
-    p = sub.add_parser("simulate", help="run a synthetic dual-logistic scenario")
-    add_format_flag(p)
+    p = sub.add_parser("simulate", help="run a synthetic dual-logistic scenario", parents=[fmt])
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--window", default=None, help="explicit fit window Y1:Y2")
     p.add_argument("--out", default=None, help="directory for generated series CSV")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("report", help="write the full analysis tables and plot series")
-    add_data_flags(p)
-    add_format_flag(p)
-    add_config_flag(p)
+    p = sub.add_parser("report", help="write the full analysis tables and plot series",
+                       parents=[data, fmt, config])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_report)
 

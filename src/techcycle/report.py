@@ -7,6 +7,8 @@ precision.  All renderers are deterministic: same inputs, same bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -35,6 +37,8 @@ from .market_data import (
     merge_series,
 )
 from .regress import significance_stars
+
+FORMATS = {"text": "txt", "csv": "csv", "json": "json"}  # output format -> file extension
 
 
 @frozen
@@ -220,26 +224,34 @@ def fit_to_mapping(fit: SubstitutionFit) -> dict:
 
 def render_fit_text(fit: SubstitutionFit) -> str:
     ols = fit.fit
+    widths = (-12, 12, 12, 10, 10)
     lines = [
         f"Substitution fit: {fit.label}",
         f"Window: {fit.window[0]}-{fit.window[1]}  (n={ols.n}, natural logs)",
         "",
-        f"{'term':<12}{'estimate':>12}{'std err':>12}{'t':>10}{'p':>10}  sig",
-        f"{'log A':<12}{fit.log_a:>12.2f}{ols.se_intercept:>12.2f}"
-        f"{_fmt(ols.t_intercept, 2, 10)}{_fmt(ols.p_intercept, 3, 10)}  {significance_stars(ols.p_intercept)}",
-        f"{'B':<12}{fit.b_exponent:>12.2f}{ols.se_slope:>12.2f}"
-        f"{_fmt(ols.t_slope, 2, 10)}{_fmt(ols.p_slope, 3, 10)}  {significance_stars(ols.p_slope)}",
+        _line(widths, ("term", "estimate", "std err", "t", "p")) + "  sig",
+        *(_line(widths, (term, f"{estimate:.2f}", f"{se:.2f}", _fmt(t, 2), _fmt(p, 3)))
+          + f"  {significance_stars(p)}"
+          for term, estimate, se, t, p in (
+              ("log A", fit.log_a, ols.se_intercept, ols.t_intercept, ols.p_intercept),
+              ("B", fit.b_exponent, ols.se_slope, ols.t_slope, ols.p_slope))),
         "",
         f"R2 = {ols.r2:.2f}   R2 adj. = {ols.r2_adj:.2f}   s.e. of estimate = {ols.se_estimate:.2f}",
-        f"F = {_fmt(ols.f_stat, 2).strip()} (p = {_fmt(ols.p_f, 3).strip()})",
+        f"F = {_fmt(ols.f_stat, 2)} (p = {_fmt(ols.p_f, 3)})",
         f"Regime: {fit.regime.value}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float, digits: int, width: int = 0) -> str:
-    text = "inf" if math.isinf(value) else f"{value:.{digits}f}"
-    return text.rjust(width) if width else text
+def _fmt(value: float, digits: int) -> str:
+    return "inf" if math.isinf(value) else f"{value:.{digits}f}"
+
+
+def _line(widths: tuple[int, ...], cells) -> str:
+    """One fixed-width text row: a negative width left-aligns its cell, and None is blank."""
+    texts = ["" if cell is None else str(cell) for cell in cells]
+    return "".join(text.ljust(-width) if width < 0 else text.rjust(width)
+                   for width, text in zip(widths, texts, strict=True))
 
 
 # ------------------------------------------------------------------ table3
@@ -261,26 +273,21 @@ def pair_to_mapping(row: PairRow) -> dict:
 
 
 def render_table3_text(report: MarketReport) -> str:
-    header = (
-        f"{'established':<14}{'disruptive':<22}{'crossover':>10}{'share %':>9}"
-        f"{'peak':>7}{'end':>7}{'DP':>5}"
-    )
-    lines = ["Crossovers and disruption periods", header]
+    widths = (-14, -22, 10, 9, 7, 7, 5)
+    lines = ["Crossovers and disruption periods", _line(
+        widths, ("established", "disruptive", "crossover", "share %", "peak", "end", "DP"))]
     for row in report.table3:
         cross = row.crossover
         if cross is None:
-            year, share = "none", ""
+            year, share = "none", None
         elif cross.boundary:
             year, share = "n.a.", f"({cross.established_share:.2f})"
         else:
-            year, share = str(cross.year), f"{cross.established_share:.2f}"
+            year, share = cross.year, f"{cross.established_share:.2f}"
         ev = row.events
-        end = "" if ev.z_year is None else f"{ev.z_year}{'*' if ev.censored else ''}"
-        dp = "" if row.disruption_period is None else str(row.disruption_period)
-        lines.append(
-            f"{row.established:<14}{row.disruptive:<22}{year:>10}{share:>9}"
-            f"{'' if ev.m_year is None else ev.m_year:>7}{end:>7}{dp:>5}"
-        )
+        end = None if ev.z_year is None else f"{ev.z_year}{'*' if ev.censored else ''}"
+        lines.append(_line(widths, (row.established, row.disruptive, year, share, ev.m_year, end,
+                                    row.disruption_period)))
     lines.append("")
     agg = report.table3_aggregate
     for column, label, unit in (("share", "Mean established share at crossover", "%"),
@@ -326,41 +333,32 @@ def table4_to_mapping(summaries, agg: CycleAggregate) -> dict:
 
 
 def render_table4_text(summaries, agg: CycleAggregate) -> str:
-    header = (
-        f"{'technology':<12}{'A':>6}{'M':>7}{'Z':>7}{'AM':>8}{'MZ':>8}{'AZ':>8}"
-        f"{'up %':>9}{'down %':>9}"
-    )
-    lines = ["Technology cycles", header]
+    widths = (-12, 6, 7, 7, 8, 8, 8, 9, 9)
+    lines = ["Technology cycles",
+             _line(widths, ("technology", "A", "M", "Z", "AM", "MZ", "AZ", "up %", "down %"))]
 
     def cell(value, censored=False):
-        if value is None:
-            return "*"
-        return f"{value}{'*' if censored else ''}"
+        return "*" if value is None else f"{value}{'*' if censored else ''}"
+
+    def num(value, missing="*"):
+        return missing if value is None else f"{value:.2f}"
 
     for summary in summaries:
         ev = summary.events
-        lines.append(
-            f"{ev.technology:<12}{ev.a_year:>6}{cell(ev.m_year):>7}"
-            f"{cell(ev.z_year, ev.censored):>7}"
-            f"{cell(summary.am):>8}{cell(summary.mz):>8}{cell(summary.az):>8}"
-            f"{'*' if summary.up_share is None else f'{summary.up_share:.2f}':>9}"
-            f"{'*' if summary.down_share is None else f'{summary.down_share:.2f}':>9}"
-        )
-    lines.append("")
-
-    def opt(value):
-        return "" if value is None else f"{value:.2f}"
-
-    lines.append(
-        f"{'mean':<12}{'':>6}{'':>7}{'':>7}{opt(agg.mean['am']):>8}{opt(agg.mean['mz']):>8}"
-        f"{opt(agg.mean['az']):>8}{opt(agg.mean['up_share']):>9}{opt(agg.mean['down_share']):>9}"
-    )
-    lines.append(
-        f"{'SD':<12}{'':>6}{'':>7}{'':>7}{opt(agg.sd['am']):>8}{opt(agg.sd['mz']):>8}"
-        f"{opt(agg.sd['az']):>8}{'':>9}{'':>9}"
-    )
-    lines.append("")
-    lines.append("* = event still in progress at the end of the data")
+        lines.append(_line(widths, (
+            ev.technology, ev.a_year, cell(ev.m_year), cell(ev.z_year, ev.censored),
+            cell(summary.am), cell(summary.mz), cell(summary.az),
+            num(summary.up_share), num(summary.down_share))))
+    mean, sd = agg.mean, agg.sd
+    lines += [
+        "",
+        _line(widths, ("mean", None, None, None,
+                       *(num(mean[c], None) for c in ("am", "mz", "az", "up_share", "down_share")))),
+        _line(widths, ("SD", None, None, None,
+                       *(num(sd[c], None) for c in ("am", "mz", "az")), None, None)),
+        "",
+        "* = event still in progress at the end of the data",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -393,8 +391,9 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
         ),
     }
     for name, (mapping, text) in tables.items():
-        path = out / f"{name}.{_ext(fmt)}"
-        path.write_text(render(fmt, mapping, text), encoding="utf-8")
+        content = render(fmt, mapping, text)
+        path = out / f"{name}.{FORMATS[fmt]}"
+        path.write_text(content, encoding="utf-8")
         written.append(path)
 
     for name in sorted(dataset.series):
@@ -408,10 +407,6 @@ def series_to_csv(series: RevenueSeries, column: str) -> str:
     """``year,<column>`` CSV of a series, values at full precision."""
     rows = [f"year,{column}"] + [f"{year},{value!r}" for year, value in series.points.items()]
     return "\n".join(rows) + "\n"
-
-
-def _ext(fmt: str) -> str:
-    return {"text": "txt", "csv": "csv", "json": "json"}.get(fmt, fmt)
 
 
 def render(fmt: str, mapping: dict, text: str) -> str:
@@ -429,33 +424,25 @@ def render(fmt: str, mapping: dict, text: str) -> str:
 
 def mapping_to_csv(mapping: dict) -> str:
     """Flatten a report mapping to CSV; row lists become tables, scalars dotted-key/value pairs."""
-    lines: list[str] = []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     pending = list(mapping.items())
-    if "rows" in mapping and isinstance(mapping["rows"], list) and mapping["rows"]:
-        columns = list(mapping["rows"][0])
-        lines.append(",".join(columns))
-        for row in mapping["rows"]:
-            lines.append(",".join(_csv_cell(row[c]) for c in columns))
-        lines.append("")
+    if isinstance(rows := mapping.get("rows"), list) and rows:
+        columns = list(rows[0])
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+        out.write("\n")
         pending = [(k, v) for k, v in pending if k != "rows"]
-    lines.append("key,value")
+    writer.writerow(("key", "value"))
     while pending:
         key, value = pending.pop(0)
         if isinstance(value, dict):  # its entries come next, at any depth
             pending[:0] = [(f"{key}.{sub}", subvalue) for sub, subvalue in value.items()]
         else:
-            lines.append(f"{key},{_csv_cell(value)}")
-    return "\n".join(lines) + "\n"
+            writer.writerow((key, _csv_cell(value)))
+    return out.getvalue()
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_cell(value):
+    """Booleans in lower case; the writer prints None as empty and floats by repr."""
+    return str(value).lower() if isinstance(value, bool) else value
