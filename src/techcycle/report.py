@@ -365,13 +365,12 @@ def render_table4_text(summaries, agg: CycleAggregate) -> str:
 # ------------------------------------------------------------------ files
 
 def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fmt: str) -> list[Path]:
-    """Write table1..table4 plus per-technology plot series; returns paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    written: list[Path] = []
+    """Write table1..table4 plus per-technology plot series; returns paths.
 
+    Every file is rendered before anything is written, so an unknown format
+    leaves no directory behind.
+    """
+    out = Path(out_dir)
     tables = {
         "table1": (fit_to_mapping(report.table1), render_fit_text(report.table1)),
         "table2": (fit_to_mapping(report.table2), render_fit_text(report.table2)),
@@ -390,17 +389,18 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
             render_table4_text(report.table4, report.table4_aggregate),
         ),
     }
+    files = {}
     for name, (mapping, text) in tables.items():
-        content = render(fmt, mapping, text)
-        path = out / f"{name}.{FORMATS[fmt]}"
-        path.write_text(content, encoding="utf-8")
-        written.append(path)
-
+        content = render(fmt, mapping, text)  # names an unknown format before FORMATS[fmt]
+        files[out / f"{name}.{FORMATS[fmt]}"] = content
     for name in sorted(dataset.series):
-        path = plots / f"{name}.csv"
-        path.write_text(series_to_csv(dataset.series[name], "revenue_real_musd"), encoding="utf-8")
-        written.append(path)
-    return written
+        files[out / "plots" / f"{name}.csv"] = series_to_csv(
+            dataset.series[name], "revenue_real_musd"
+        )
+    (out / "plots").mkdir(parents=True, exist_ok=True)
+    for path, content in files.items():
+        path.write_text(content, encoding="utf-8")
+    return list(files)
 
 
 def series_to_csv(series: RevenueSeries, column: str) -> str:

@@ -2,12 +2,13 @@
 
 Every draw comes from SplitMix64 evaluated as a pure function of
 (seed, draw index), so a scenario is reproducible bit-for-bit across runs
-and platforms with no generator state to share.
+and platforms with no generator state to share.  A scenario is realized
+once; every recovery window on it reads that one realization.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 from ._record import frozen
 from .errors import TechCycleError, WindowError
@@ -78,24 +79,24 @@ def generate_scenario(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSerie
     Year t of series i uses draw index ``2 * (t - first) + i``, so the two
     series consume disjoint, reproducible portions of the stream.  Values
     are ``level * (1 + noise_rel * eps)`` with eps uniform in [-1, 1),
-    clamped at zero.
+    clamped at zero.  A scenario is realized once; every window reads it.
     """
-    return _realize(s, *s.years)
+    return _realized(s)
 
 
-def _realize(s: SyntheticScenario, first: int, last: int) -> tuple[RevenueSeries, RevenueSeries]:
-    """Years ``first..last`` of ``generate_scenario``'s series, bit for bit:
-    draw indices count from the scenario's first year, not from ``first``."""
-    start = s.years[0]
+# keyed by the record's equality, which covers every input of the draw loop
+@functools.lru_cache(maxsize=1)
+def _realized(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSeries]:
+    first, last = s.years
     series = []
     for offset, params in ((0, s.p_old), (1, s.p_new)):
         points = {}
         for t in range(first, last + 1):
-            eps = _uniform_pm1(2 * (t - start) + offset, s.seed)
+            eps = _uniform_pm1(2 * (t - first) + offset, s.seed)
             value = logistic_value(params, float(t)) * (1.0 + s.noise_rel * eps)
             points[t] = max(value, 0.0)
         name = "established" if offset == 0 else "disruptive"
-        series.append(RevenueSeries(technology=name, base_year=start, points=points))
+        series.append(RevenueSeries(technology=name, base_year=first, points=points))
     return series[0], series[1]
 
 
@@ -109,7 +110,6 @@ def recovery_experiment(
     Without an explicit window, the fit is restricted to the early phase:
     years where both true curves sit below ``early_fraction`` of their
     equilibrium levels, which is where the power-law approximation holds.
-    Only the scenario years inside the window are realized.
     """
     if window is None:
         window = _early_window(s, early_fraction)
@@ -119,8 +119,8 @@ def recovery_experiment(
                 "lower the growth rates, start earlier, or raise the fraction"
             )
     try:
-        # a window reaching past the scenario's years leaves those years absent
-        old_series, new_series = _realize(s, max(window[0], s.years[0]), min(window[1], s.years[1]))
+        # fit_substitution names the first window year that the scenario lacks
+        old_series, new_series = _realized(s)
         fit = fit_substitution(new_series, old_series, window=window)
     except TechCycleError as exc:
         raise WindowError(f"window {window} not fittable: {exc}") from exc

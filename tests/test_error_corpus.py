@@ -168,8 +168,8 @@ CLI = {
             ["simulate", "--scenario", SCENARIO, "--window", window], {}, 3, message,
         )
         for window, message in (
-            ("5000:5010", "error: window (5000, 5010) not fittable: established: "
-                          "series has no observations\n"),
+            ("5000:5010", "error: window (5000, 5010) not fittable: established: value for "
+                          "5000 is absent or non-positive inside window 5000-5010\n"),
             ("35:45", "error: window (35, 45) not fittable: established: value for 41 "
                       "is absent or non-positive inside window 35-45\n"),
         )

@@ -1,14 +1,18 @@
 """Whole-pipeline relations on the bundled data: a change to the inputs that
-should not matter must leave every byte of `report` unchanged, in every format.
+should not matter must leave every byte of `report` unchanged, in every format,
+and one that should move a number must move it by what the model says.
 """
 
 import csv
 import io
+import json
+import math
 import random
 
 import pytest
 
 from techcycle.cli import main
+from techcycle.report import FORMATS as REPORT_FORMATS
 
 FORMATS = ("text", "csv", "json")
 
@@ -90,3 +94,36 @@ def test_splitting_a_format_in_halves_does_not_change_the_report(fmt, data_dir, 
     bundled = _report(data_dir, data_dir / "riaa_revenue.csv", tmp_path / "a", fmt, capsys)
     split = _report(data_dir, data_path, tmp_path / "b", fmt, capsys, groups_path)
     assert split == bundled
+
+
+
+@pytest.mark.parametrize("c", [10, 3, 0.001])
+def test_scaling_revenue_moves_only_log_a(c, data_dir, tmp_path, capsys):
+    """Both revenue columns times c leave every event where it was, and turn
+    ln K = ln A + B ln V into ln cK = (ln A + (1 - B) ln c) + B ln cV."""
+    data_path, groups_path = _rewrite(data_dir, tmp_path, lambda rows: [
+        [year, label, *("" if not v else repr(float(v) * c) for v in (nominal, real)), *rest]
+        for year, label, nominal, real, *rest in rows], lambda line: line)
+    runs = {fmt: (_report(data_dir, data_dir / "riaa_revenue.csv", tmp_path / fmt, fmt, capsys),
+                  _report(data_dir, data_path, tmp_path / f"{fmt}-scaled", fmt, capsys,
+                          groups_path))
+            for fmt in FORMATS}
+    for fmt, ((bundled, bundled_out), (scaled, scaled_out)) in runs.items():
+        table4 = f"table4.{REPORT_FORMATS[fmt]}"
+        assert scaled[table4] == bundled[table4]
+        assert scaled_out == bundled_out  # the mean DP and the cycle asymmetry
+    bundled, scaled = (
+        {name: json.loads(files[f"{name}.json"]) for name in ("table1", "table2", "table3")}
+        for files, _ in runs["json"]
+    )
+    events = ("crossover_year", "disruption_period_years", "dp_note")
+    assert [[row[key] for key in events] for row in scaled["table3"]["rows"]] == \
+        [[row[key] for key in events] for row in bundled["table3"]["rows"]]
+    assert scaled["table3"]["dp_mean_years"] == bundled["table3"]["dp_mean_years"]
+    assert scaled["table3"]["dp_sd_years"] == bundled["table3"]["dp_sd_years"]
+    # bounds stated before the run: B and R^2 within 1e-12, the log A shift within 1e-12
+    for old, new in ((bundled[name], scaled[name]) for name in ("table1", "table2")):
+        assert abs(new["exponent_b"] - old["exponent_b"]) <= 1e-12
+        assert abs(new["r2"] - old["r2"]) <= 1e-12
+        shift = (1.0 - old["exponent_b"]) * math.log(c)
+        assert abs(new["intercept_log_a"] - old["intercept_log_a"] - shift) <= 1e-12

@@ -19,6 +19,7 @@ from techcycle.report import (
     render_fit_text,
     render_table3_text,
     render_table4_text,
+    write_report,
 )
 
 
@@ -93,6 +94,13 @@ def test_build_report_checks_the_begin_year_overrides(dataset, data_dir, tmp_pat
     with pytest.raises(TechCycleError) as exc:
         build_report(dataset, load_reference(path))
     assert str(exc.value) == message
+
+
+def test_write_report_unknown_format_creates_nothing(market, dataset, tmp_path):
+    out = tmp_path / "x"
+    with pytest.raises(TechCycleError, match="^unknown output format 'xml'$"):
+        write_report(market, dataset, out, "xml")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestFitRendering:

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from techcycle.errors import TechCycleError, WindowError
 from techcycle.growth import LogisticParams, fit_substitution, logistic_value
 from techcycle.market_data import RevenueSeries
+import techcycle.synthlab as synthlab
 from techcycle.synthlab import (
     SyntheticScenario,
     generate_scenario,
@@ -178,6 +180,44 @@ class TestRecoveryExperiment:
     def test_window_outside_the_years_not_fittable(self, window):
         with pytest.raises(WindowError, match="not fittable"):
             recovery_experiment(scenario(noise=0.1), window=window)
+
+
+def sweep(s):
+    """The early fractions and the window of a synth-lab op, then the full series."""
+    reports = [recovery_experiment(s, early_fraction=f) for f in (0.05, 0.1, 0.2, 0.3)]
+    reports.append(recovery_experiment(s, window=(2007, 2031)))
+    return reports, generate_scenario(s)
+
+
+def swept_scenario():
+    return scenario(noise=0.08, seed=7, years=(2000, 2040), t1=2025.0, t2=2028.0)
+
+
+class TestRealizedOnce:
+    def test_each_draw_is_computed_once_per_sweep(self, monkeypatch):
+        draws = Counter()
+        uniform = synthlab._uniform_pm1
+
+        def counted(index, seed):
+            draws[index] += 1
+            return uniform(index, seed)
+
+        synthlab._realized.cache_clear()
+        monkeypatch.setattr(synthlab, "_uniform_pm1", counted)
+        s = swept_scenario()
+        sweep(s)
+        years = s.years[1] - s.years[0] + 1
+        assert draws == Counter(range(2 * years))
+
+    def test_equal_distinct_scenarios_give_equal_results(self):
+        first, second = swept_scenario(), swept_scenario()
+        assert first == second and first is not second
+        synthlab._realized.cache_clear()
+        reports, series = sweep(first)
+        synthlab._realized.cache_clear()
+        assert sweep(second) == (reports, series)
+        # the cache is keyed by equality: an equal record reads the same realization
+        assert generate_scenario(first) is generate_scenario(second)
 
 
 class TestSaturationLevel:
