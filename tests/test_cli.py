@@ -131,6 +131,20 @@ class TestValidate:
         assert "ok" in out
         assert "technologies: vinyl, 8-track, cassette, cd, download, streaming" in out
 
+    def test_whole_output_names_gap_years_and_ungrouped_formats(self, tiny_dataset, capsys):
+        (tiny_dataset / "data.csv").write_text(
+            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
+            "2000,Old,10.0,,\n2006,Old,10.0,,\n2005,New,1.0,,\n2006,New,2.0,,\n2005,Stray,1.0,,\n"
+        )
+        (tiny_dataset / "cpi.csv").write_text("year,index\n2000,80\n2005,90\n2006,92\n2018,100\n")
+        code, out, err = run_cli("validate", *data_flags(tiny_dataset), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "records: 5\nformats: 3\nyears: 2000-2006\ntechnologies: old, new\n"
+            "note: old has gap years (2001, 2002, 2003, 2004, 2005)\n"
+            "note: formats in no group: Stray\nok\n"
+        )
+
     def test_broken_dataset_exits_2(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("year,format\n")
         code, _, err = run_cli(
