@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands: validate, fit, cycles, crossover, simulate, report.
-Every table quantity comes from report.py: `cycles` prints Table 4 and
-`crossover` prints one Table 3 row, under the same reference config
-(--config) that `report` reads, and all output goes through one renderer.
-Exit codes: 0 success (including benign empty results and a reader that
-closed stdout early), 2 input error, 3 insufficient data for the requested
-estimate.
+Subcommands: validate, fit, cycles, crossover, simulate, report.  Inputs are
+named only by their flags (--data, --cpi, --groups, --config, --scenario),
+each defaulting to its bundled file.  Every table quantity and output byte
+comes from report.py: `cycles` prints Table 4 and `crossover` one Table 3
+row, under the reference config (--config) that `report` reads.  Each
+handler returns its rendered text, `main` prints it once, and report.py
+writes every file.  Exit codes: 0 success (including benign empty results
+and a reader that closed stdout early), 2 input error, 3 insufficient data
+for the requested estimate.
 """
 
 from __future__ import annotations
@@ -35,25 +37,19 @@ EXIT_INSUFFICIENT = 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
-        sys.stdout.flush()
-        return code
+        print(args.handler(args), end="", flush=True)
     except BrokenPipeError:
         # The reader left early; point stdout at devnull so the interpreter's
         # final flush of what is still buffered does not fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_OK
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
     except (TechCycleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INSUFFICIENT if isinstance(exc, InsufficientDataError) else EXIT_INPUT
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,27 +112,23 @@ def _load_inputs(args):
     return report_mod.load_dataset(args.data, args.cpi, args.groups), load_reference(args.config)
 
 
-def _emit(args, mapping: dict, text: str) -> None:
-    print(report_mod.render(args.format, mapping, text), end="")
-
-
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     formats = sorted({r.format for r in dataset.records})
     grouped = {fmt for g in dataset.groups for fmt in g.formats}
     ungrouped = [fmt for fmt in formats if fmt not in grouped]
-    print(f"records: {len(dataset.records)}")
-    print(f"formats: {len(formats)}")
-    print(f"years: {min(r.year for r in dataset.records)}-{max(r.year for r in dataset.records)}")
-    print(f"technologies: {', '.join(s for s in dataset.series)}")
-    for name, series in dataset.series.items():
-        gaps = series.gap_years
-        if gaps:
-            print(f"note: {name} has gap years {gaps}")
+    years = [r.year for r in dataset.records]
+    lines = [
+        f"records: {len(dataset.records)}",
+        f"formats: {len(formats)}",
+        f"years: {min(years)}-{max(years)}",
+        f"technologies: {', '.join(dataset.series)}",
+        *(f"note: {name} has gap years {series.gap_years}"
+          for name, series in dataset.series.items() if series.gap_years),
+    ]
     if ungrouped:
-        print(f"note: formats in no group: {', '.join(ungrouped)}")
-    print("ok")
-    return EXIT_OK
+        lines.append(f"note: formats in no group: {', '.join(ungrouped)}")
+    return "\n".join([*lines, "ok"]) + "\n"
 
 
 def _pair(args, dataset):
@@ -147,55 +139,36 @@ def _pair(args, dataset):
     return old, new
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     dataset = report_mod.load_dataset(args.data, args.cpi, args.groups)
     window = parse_window_spec(args.window)
     old, new = _pair(args, dataset)
     fit = fit_substitution(new, old, window=window)
-    _emit(args, report_mod.fit_to_mapping(fit), report_mod.render_fit_text(fit))
-    return EXIT_OK
+    return report_mod.render(args.format, report_mod.fit_to_mapping(fit),
+                             report_mod.render_fit_text(fit))
 
 
-def cmd_cycles(args) -> int:
+def cmd_cycles(args) -> str:
     dataset, ref = _load_inputs(args)
     with located(args.config):
         events = report_mod.cycle_events(dataset, ref)
     summaries, aggregate = report_mod.cycle_table(events)
-    _emit(
-        args,
-        report_mod.table4_to_mapping(summaries, aggregate),
-        report_mod.render_table4_text(summaries, aggregate),
-    )
-    return EXIT_OK
+    return report_mod.render(args.format, report_mod.table4_to_mapping(summaries, aggregate),
+                             report_mod.render_table4_text(summaries, aggregate))
 
 
-def cmd_crossover(args) -> int:
+def cmd_crossover(args) -> str:
     dataset, ref = _load_inputs(args)
     with located(args.config):
         events = report_mod.cycle_events(dataset, ref)
     old, new = _pair(args, dataset)
     with located(args.config):
         row = report_mod.table3(dataset, ref, events, last=(old.technology, new.technology))[-1]
-    cross = row.crossover
-    if cross is None:
-        text = "no crossover in data\n"
-    else:
-        if row.dp_note is None:
-            end = f"{row.events.z_year}{'*' if row.events.censored else ''}"
-            dp = f"{row.disruption_period} years (peak {row.events.m_year}, end {end})"
-        else:
-            dp = f"not counted ({row.dp_note})"
-        text = (
-            f"crossover year: {cross.year}"
-            f"{' (already in force at first comparable year)' if cross.boundary else ''}\n"
-            f"established share: {cross.established_share:.2f}%\n"
-            f"disruption period: {dp}\n"
-        )
-    _emit(args, report_mod.pair_to_mapping(row), text)
-    return EXIT_OK
+    return report_mod.render(args.format, report_mod.pair_to_mapping(row),
+                             report_mod.render_pair_text(row))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     values = read_kv_file(args.scenario)
     if args.seed is not None:
         values["seed"] = str(args.seed)
@@ -204,11 +177,10 @@ def cmd_simulate(args) -> int:
     window = parse_window_spec(args.window) if args.window else None
     result = recovery_experiment(scenario, window=window)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for series in generate_scenario(scenario):
-            path = out / f"{series.technology}.csv"
-            path.write_text(report_mod.series_to_csv(series, "level"), encoding="utf-8")
+        report_mod.write_files({
+            Path(args.out) / f"{series.technology}.csv": report_mod.series_to_csv(series, "level")
+            for series in generate_scenario(scenario)
+        })
     mapping = {
         "b_theoretical": result.b_theoretical,
         "b_fitted": result.b_fitted,
@@ -225,24 +197,22 @@ def cmd_simulate(args) -> int:
         f"window: {result.window_used[0]}-{result.window_used[1]}   "
         f"max level/capacity in window: {result.saturation_level:.4f}\n"
     )
-    _emit(args, mapping, text)
-    return EXIT_OK
+    return report_mod.render(args.format, mapping, text)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     dataset, ref = _load_inputs(args)
     with located(args.config):
         market = report_mod.build_report(dataset, ref)
     written = report_mod.write_report(market, dataset, args.out, args.format)
-    for path in written:
-        print(f"wrote {path}")
+    lines = [f"wrote {path}" for path in written]
     dp_mean = market.table3_aggregate.mean["dp"]
     if dp_mean is not None:
-        print(f"mean disruption period: {dp_mean:.2f} years")
+        lines.append(f"mean disruption period: {dp_mean:.2f} years")
     up, down = market.table4_aggregate.mean["up_share"], market.table4_aggregate.mean["down_share"]
     if up is not None and down is not None:
-        print(f"cycle asymmetry: up wave {up:.2f}% of cycle, down wave {down:.2f}%")
-    return EXIT_OK
+        lines.append(f"cycle asymmetry: up wave {up:.2f}% of cycle, down wave {down:.2f}%")
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Config-file readers and default path resolution.
+"""Config-file readers and the bundled data directory.
 
 All config files share one flat key-value syntax: ``name = value`` lines,
 ``#`` comments, blank lines ignored.  Group files interpret the value as a
@@ -8,7 +8,6 @@ keys individually.
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 from types import MappingProxyType
@@ -19,7 +18,6 @@ from .errors import TechCycleError, located
 from .market_data import (YEAR_MAX, YEAR_MIN, CpiTable, RevenueRecord, TechnologyGroup,
                           parse_cpi_table, parse_revenue_table)
 
-DATA_DIR_ENV = "TECHCYCLE_DATA_DIR"
 _NAME = re.compile(r"[A-Za-z0-9_-]+")  # the rule that load_groups states
 _NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"
 
@@ -209,8 +207,5 @@ def load_reference(path: str | Path) -> ReferenceConfig:
 
 
 def default_data_dir() -> Path:
-    """Bundled dataset directory, overridable via TECHCYCLE_DATA_DIR."""
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
+    """The bundled data directory, home of every input flag's default file."""
     return Path(__file__).parent / "data"

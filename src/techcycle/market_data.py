@@ -43,7 +43,9 @@ class RevenueRecord:
             )
         for name in ("revenue_nominal", "revenue_real", "units"):
             value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value < 0):
+            if value is not None and not math.isfinite(value):
+                raise TechCycleError(f"{self.year} {self.format!r}: {name} is not finite")
+            if value is not None and value < 0:
                 raise TechCycleError(f"{self.year} {self.format!r}: {name} must be >= 0")
 
 
@@ -221,23 +223,21 @@ def aggregate_group(records: list[RevenueRecord], group: TechnologyGroup) -> Rev
     correctly rounded (``math.fsum``), so it does not depend on record order.
     """
     wanted = set(group.formats)
-    values: dict[int, list[float]] = {}
-    matched = False
+    values: list[tuple[int, float]] = []
     for record in records:
         if record.format not in wanted:
             continue
-        matched = True
         if record.revenue_real is None:
             raise TechCycleError(
                 f"{record.year} {record.format!r}: missing real revenue; run adjust_inflation first"
             )
-        values.setdefault(record.year, []).append(record.revenue_real)
-    if not matched:
+        values.append((record.year, record.revenue_real))
+    if not values:
         raise TechCycleError(
             f"group {group.name!r} matched no record (formats: {', '.join(group.formats)})"
         )
-    totals = {year: math.fsum(parts) for year, parts in values.items()}
-    return RevenueSeries(technology=group.name, base_year=BASE_YEAR, points=totals)
+    return RevenueSeries(technology=group.name, base_year=BASE_YEAR,
+                         points=_yearly_sums(group.name, values))
 
 
 def positive_overlap_window(a: RevenueSeries, b: RevenueSeries) -> tuple[int, int] | None:
@@ -266,12 +266,24 @@ def merge_series(name: str, parts: list[RevenueSeries]) -> RevenueSeries:
     correctly rounded as in ``aggregate_group``."""
     if not parts:
         raise TechCycleError("merge_series needs at least one series")
-    values: dict[int, list[float]] = {}
-    for part in parts:
-        for year, value in part.points.items():
-            values.setdefault(year, []).append(value)
-    totals = {year: math.fsum(addends) for year, addends in values.items()}
-    return RevenueSeries(technology=name, base_year=parts[0].base_year, points=totals)
+    values = [item for part in parts for item in part.points.items()]
+    return RevenueSeries(technology=name, base_year=parts[0].base_year,
+                         points=_yearly_sums(name, values))
+
+
+def _yearly_sums(name: str, values: list[tuple[int, float]]) -> dict[int, float]:
+    """Each year's correctly rounded sum (``math.fsum``) of ``(year, value)`` pairs, in
+    any order; a sum beyond the float range is an error naming ``name`` and the year."""
+    addends: dict[int, list[float]] = {}
+    for year, value in values:
+        addends.setdefault(year, []).append(value)
+    totals = {}
+    for year, parts in addends.items():
+        try:
+            totals[year] = math.fsum(parts)
+        except OverflowError:
+            raise TechCycleError(f"{name}: revenue sum for {year} is not finite") from None
+    return totals
 
 
 def _parse_int(cell: str, row_no: int, column: str) -> int:

@@ -284,9 +284,8 @@ def render_table3_text(report: MarketReport) -> str:
             year, share = "n.a.", f"({cross.established_share:.2f})"
         else:
             year, share = cross.year, f"{cross.established_share:.2f}"
-        ev = row.events
-        end = None if ev.z_year is None else f"{ev.z_year}{'*' if ev.censored else ''}"
-        lines.append(_line(widths, (row.established, row.disruptive, year, share, ev.m_year, end,
+        lines.append(_line(widths, (row.established, row.disruptive, year, share,
+                                    row.events.m_year, _end_year(row.events),
                                     row.disruption_period)))
     lines.append("")
     agg = report.table3_aggregate
@@ -298,6 +297,24 @@ def render_table3_text(report: MarketReport) -> str:
     lines.append("n.a. = crossover already in force at the first comparable year")
     lines.append("*   = final data year, revenues still above the end threshold")
     return "\n".join(lines) + "\n"
+
+
+def render_pair_text(row: PairRow) -> str:
+    """One Table 3 row as `crossover` prints it."""
+    cross, ev = row.crossover, row.events
+    if cross is None:
+        return "no crossover in data\n"
+    boundary = " (already in force at first comparable year)" if cross.boundary else ""
+    dp = (f"not counted ({row.dp_note})" if row.dp_note is not None
+          else f"{row.disruption_period} years (peak {ev.m_year}, end {_end_year(ev)})")
+    return (f"crossover year: {cross.year}{boundary}\n"
+            f"established share: {cross.established_share:.2f}%\n"
+            f"disruption period: {dp}\n")
+
+
+def _end_year(events: CycleEvents) -> str | None:
+    """The end year, starred when it is only the final data year (censored)."""
+    return None if events.z_year is None else f"{events.z_year}{'*' if events.censored else ''}"
 
 
 # ------------------------------------------------------------------ table4
@@ -337,8 +354,8 @@ def render_table4_text(summaries, agg: CycleAggregate) -> str:
     lines = ["Technology cycles",
              _line(widths, ("technology", "A", "M", "Z", "AM", "MZ", "AZ", "up %", "down %"))]
 
-    def cell(value, censored=False):
-        return "*" if value is None else f"{value}{'*' if censored else ''}"
+    def cell(value):
+        return "*" if value is None else value
 
     def num(value, missing="*"):
         return missing if value is None else f"{value:.2f}"
@@ -346,7 +363,7 @@ def render_table4_text(summaries, agg: CycleAggregate) -> str:
     for summary in summaries:
         ev = summary.events
         lines.append(_line(widths, (
-            ev.technology, ev.a_year, cell(ev.m_year), cell(ev.z_year, ev.censored),
+            ev.technology, ev.a_year, cell(ev.m_year), cell(_end_year(ev)),
             cell(summary.am), cell(summary.mz), cell(summary.az),
             num(summary.up_share), num(summary.down_share))))
     mean, sd = agg.mean, agg.sd
@@ -367,8 +384,8 @@ def render_table4_text(summaries, agg: CycleAggregate) -> str:
 def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fmt: str) -> list[Path]:
     """Write table1..table4 plus per-technology plot series; returns paths.
 
-    Every file is rendered before anything is written, so an unknown format
-    leaves no directory behind.
+    Every file is rendered before ``write_files`` writes any, so an unknown
+    format leaves no directory behind.
     """
     out = Path(out_dir)
     tables = {
@@ -393,11 +410,15 @@ def write_report(report: MarketReport, dataset: Dataset, out_dir: str | Path, fm
     for name, (mapping, text) in tables.items():
         content = render(fmt, mapping, text)  # names an unknown format before FORMATS[fmt]
         files[out / f"{name}.{FORMATS[fmt]}"] = content
-    for name in sorted(dataset.series):
-        files[out / "plots" / f"{name}.csv"] = series_to_csv(
-            dataset.series[name], "revenue_real_musd"
-        )
-    (out / "plots").mkdir(parents=True, exist_ok=True)
+    for name, series in sorted(dataset.series.items()):
+        files[out / "plots" / f"{name}.csv"] = series_to_csv(series, "revenue_real_musd")
+    return write_files(files)
+
+
+def write_files(files: dict[Path, str]) -> list[Path]:
+    """Write each rendered file, making each distinct directory once; returns the paths."""
+    for directory in dict.fromkeys(path.parent for path in files):
+        directory.mkdir(parents=True, exist_ok=True)
     for path, content in files.items():
         path.write_text(content, encoding="utf-8")
     return list(files)

@@ -210,10 +210,5 @@ class TestRevenueCsv:
 
 
 class TestDataDirEnv:
-    def test_env_var_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("TECHCYCLE_DATA_DIR", str(tmp_path))
-        assert default_data_dir() == tmp_path
-
-    def test_package_data_by_default(self, monkeypatch):
-        monkeypatch.delenv("TECHCYCLE_DATA_DIR", raising=False)
+    def test_package_data_by_default(self):
         assert (default_data_dir() / "riaa_revenue.csv").exists()

@@ -13,7 +13,7 @@ from techcycle.cycle import (
     cycle_metrics,
     detect_events,
 )
-from techcycle.errors import TechCycleError
+from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.market_data import RevenueSeries
 
 
@@ -259,3 +259,15 @@ class TestAggregateCycles:
         shuffled = summaries[:]
         random.Random(5).shuffle(shuffled)
         assert aggregate_cycles(summaries) == aggregate_cycles(shuffled)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: events("x", 2000, 2010, 2005), TechCycleError, "x: peak 2010 after end 2005"),
+    (lambda: events("x", 2000, None, 2005), TechCycleError, "x: end year without a peak year"),
+    (lambda: aggregate_cycles([]), InsufficientDataError,
+     "aggregate_cycles needs at least one summary"),
+], ids=["peak-after-end", "end-without-peak", "aggregate-no-summary"])
+def test_library_checks(call, error, message):
+    with pytest.raises(TechCycleError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -257,6 +257,21 @@ CLI = {
         ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
         "error: {tmp}/cpi.csv: CPI table lacks its base year 2018\n",
     ),
+    "cpi-deflation-overflow": (
+        ["validate", *TINY], tiny("2000,Old,1e10,,\n", cpi="year,index\n2000,1e-300\n2018,1e10\n"),
+        2, "error: {tmp}/cpi.csv: 2000 'Old': revenue_real is not finite\n",
+    ),
+    "group-sum-overflow": (
+        ["validate", *TINY],
+        {**tiny("2000,A,,1e308,\n2000,B,,1e308,\n"), "groups.cfg": "x = A;B\n"}, 2,
+        "error: {tmp}/groups.cfg: x: revenue sum for 2000 is not finite\n",
+    ),
+    "combination-sum-overflow": (
+        ["fit", *TINY, "--old", "c", "--new", "a+b"],
+        {**tiny("2000,A,,1e308,\n2000,B,,1e308,\n2000,C,,1.0,\n2001,C,,1.0,\n"),
+         "groups.cfg": "a = A\nb = B\nc = C\n"}, 2,
+        "error: a+b: revenue sum for 2000 is not finite\n",
+    ),
     "group-matches-nothing": (
         ["validate", *TINY], tiny("2000,Old,10.0,,\n"), 2,
         "error: {tmp}/groups.cfg: group 'new' matched no record (formats: New)\n",

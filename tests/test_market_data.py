@@ -16,6 +16,7 @@ from techcycle.market_data import (
     adjust_inflation,
     aggregate_group,
     parse_revenue_table,
+    merge_series,
     positive_overlap_window,
 )
 
@@ -298,3 +299,17 @@ class TestCpiTable:
     def test_nonpositive_index_rejected(self):
         with pytest.raises(TechCycleError, match="CPI index for 2018 must be positive"):
             CpiTable(entries={2018: 0.0})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: aggregate_group([RevenueRecord(2000, "CD", revenue_nominal=1.0)],
+                             TechnologyGroup("cd", ("CD",))),
+     "2000 'CD': missing real revenue; run adjust_inflation first"),
+    (lambda: TechnologyGroup("cd", ()), "group 'cd' has no formats"),
+    (lambda: RevenueSeries("cd", BASE_YEAR, {}), "cd: series has no observations"),
+    (lambda: merge_series("cd+download", []), "merge_series needs at least one series"),
+], ids=["aggregate-undeflated", "group-no-formats", "series-no-points", "merge-nothing"])
+def test_library_checks(call, message):
+    with pytest.raises(TechCycleError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (TechCycleError, message)

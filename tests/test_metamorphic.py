@@ -17,11 +17,12 @@ from techcycle.report import FORMATS as REPORT_FORMATS
 FORMATS = ("text", "csv", "json")
 
 
-def _report(data_dir, data_path, out_dir, fmt, capsys, groups_path=None):
+def _report(data_dir, data_path, out_dir, fmt, capsys, groups_path=None, cpi_path=None):
     """Every file `report` writes, by relative path, and its stdout."""
     groups_path = groups_path or data_dir / "groups.cfg"
+    cpi_path = cpi_path or data_dir / "cpi.csv"
     argv = ["report", "--out", str(out_dir), "--format", fmt, "--data", str(data_path),
-            "--cpi", str(data_dir / "cpi.csv"), "--groups", str(groups_path),
+            "--cpi", str(cpi_path), "--groups", str(groups_path),
             "--config", str(data_dir / "reference.cfg")]
     assert main(argv) == 0
     stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
@@ -96,7 +97,6 @@ def test_splitting_a_format_in_halves_does_not_change_the_report(fmt, data_dir, 
     assert split == bundled
 
 
-
 @pytest.mark.parametrize("c", [10, 3, 0.001])
 def test_scaling_revenue_moves_only_log_a(c, data_dir, tmp_path, capsys):
     """Both revenue columns times c leave every event where it was, and turn
@@ -127,3 +127,66 @@ def test_scaling_revenue_moves_only_log_a(c, data_dir, tmp_path, capsys):
         assert abs(new["r2"] - old["r2"]) <= 1e-12
         shift = (1.0 - old["exponent_b"]) * math.log(c)
         assert abs(new["intercept_log_a"] - old["intercept_log_a"] - shift) <= 1e-12
+
+
+def _cpi_scaled_runs(c, data_dir, tmp_path, capsys):
+    """Per format, `report` on the bundled rows with every real cell blanked, so
+    that each row is deflated, once with the bundled CPI and once with every
+    index times c."""
+    data_path, groups_path = _rewrite(data_dir, tmp_path, lambda rows: [
+        [year, label, nominal, "", *rest] for year, label, nominal, _real, *rest in rows],
+        lambda line: line)
+    header, *rows = (data_dir / "cpi.csv").read_text(encoding="utf-8").splitlines()
+    cpi_path = tmp_path / "cpi.csv"
+    cpi_path.write_text("\n".join([header, *(f"{year},{float(index) * c!r}" for year, index in
+                                             (row.split(",") for row in rows))]) + "\n",
+                        encoding="utf-8")
+    return {fmt: (_report(data_dir, data_path, tmp_path / fmt, fmt, capsys, groups_path),
+                  _report(data_dir, data_path, tmp_path / f"{fmt}-scaled", fmt, capsys,
+                          groups_path, cpi_path))
+            for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("c", [2, 0.5])
+def test_scaling_the_cpi_by_a_power_of_two_does_not_change_the_report(c, data_dir, tmp_path,
+                                                                        capsys):
+    # both indices of each deflator's quotient scale exactly, so the quotient does not move
+    for fmt, (deflated, scaled) in _cpi_scaled_runs(c, data_dir, tmp_path, capsys).items():
+        assert scaled == deflated, fmt
+
+
+@pytest.mark.parametrize("c", [7.3, 0.001])
+def test_scaling_the_cpi_moves_only_roundings(c, data_dir, tmp_path, capsys):
+    """Each deflated value is base * c / (index * c) * nominal: two scaled
+    products, a quotient and a product, then a correctly rounded sum, about 7
+    units of 2**-53 relative.  Bounds stated before the run: plot values within
+    16 ulps, Table 3 shares within 1e-14 relative, B, R^2 and log A within 1e-12,
+    and every event, Table 4 and stdout unchanged."""
+    runs = _cpi_scaled_runs(c, data_dir, tmp_path, capsys)
+    for fmt, ((deflated, deflated_out), (scaled, scaled_out)) in runs.items():
+        table4 = f"table4.{REPORT_FORMATS[fmt]}"
+        assert scaled[table4] == deflated[table4]
+        assert scaled_out == deflated_out  # the mean DP and the cycle asymmetry
+    (deflated, _), (scaled, _) = runs["json"]
+    plots = sorted(name for name in deflated if name.startswith("plots/"))
+    assert plots == sorted(name for name in scaled if name.startswith("plots/"))
+    for name in plots:
+        old_rows, new_rows = (list(csv.reader(io.StringIO(files[name].decode())))[1:]
+                              for files in (deflated, scaled))
+        assert [year for year, _ in new_rows] == [year for year, _ in old_rows]
+        for (_, old), (_, new) in zip(old_rows, new_rows):
+            assert abs(float(new) - float(old)) <= 16 * math.ulp(float(old)), name
+    old_tables, new_tables = (
+        {name: json.loads(files[f"{name}.json"]) for name in ("table1", "table2", "table3")}
+        for files in (deflated, scaled))
+    events = ("crossover_year", "disruption_period_years", "dp_note")
+    old_rows, new_rows = old_tables["table3"]["rows"], new_tables["table3"]["rows"]
+    assert [[row[key] for key in events] for row in new_rows] == \
+        [[row[key] for key in events] for row in old_rows]
+    for old, new in zip(old_rows, new_rows):
+        share = old["established_share_pct"]
+        if share is not None:
+            assert abs(new["established_share_pct"] - share) <= 1e-14 * share
+    for old, new in ((old_tables[name], new_tables[name]) for name in ("table1", "table2")):
+        for key in ("exponent_b", "r2", "intercept_log_a"):
+            assert abs(new[key] - old[key]) <= 1e-12, key

@@ -55,3 +55,21 @@ def test_package_errors_are_caught_in_three_places_only():
     found = {where for path in sorted(package.glob("*.py"))
              for where in _error_handlers(ast.parse(path.read_text()), path.stem)}
     assert found == {"cli.main", "errors.located", "synthlab.recovery_experiment"}
+
+
+def _calls(node):
+    """The name of each function or method called below ``node``."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_cli_output_leaves_through_main_only():
+    # handlers return their text, main prints it, and report.py writes every file
+    tree = ast.parse((Path(techcycle.__file__).parent / "cli.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {name for name, node in functions.items() if "print" in _calls(node)} == {"main"}
+    handlers = [node for name, node in functions.items() if name.startswith("cmd_")]
+    assert len(handlers) == 6
+    for node in handlers:
+        assert not _calls(node) & {"write_text", "write_bytes", "mkdir", "open"}, node.name

@@ -283,3 +283,11 @@ class TestScenarioConfig:
         report = recovery_experiment(s)
         assert report.b_theoretical == pytest.approx(2.0)
         assert report.abs_gap < 0.05
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, math.nan])
+def test_early_fraction_outside_the_unit_interval(fraction):
+    with pytest.raises(TechCycleError) as exc:
+        recovery_experiment(scenario(), early_fraction=fraction)
+    assert (type(exc.value), str(exc.value)) == (
+        TechCycleError, f"early fraction must be in (0, 1), got {fraction}")
