@@ -1,6 +1,6 @@
 """The package root, which defines no analysis name, so importing one
-submodule loads only what that one needs; and the few places that catch the
-package's own errors."""
+submodule loads only what that one needs; the few places that catch the
+package's own errors; and the one place the CLI prints."""
 
 import ast
 import subprocess
