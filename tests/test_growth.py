@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -226,6 +227,11 @@ class TestFitLogistic:
             t: 100.0 * math.exp(-(((t - 12) / 5.0) ** 2)) for t in range(0, 25)
         }),
         ("noisy plateau", {t: 400.0 + 3.0 * math.sin(2.3 * t) for t in range(0, 12)}),
+        ("noisy saturated logistic, optimum at max * (1 + 1e-6)", {
+            t: logistic_value(LogisticParams(k=1000.0, a=6.0, b=0.5), float(t))
+            * (1.0 + 0.02 * math.sin(2.9 * t))
+            for t in range(0, 31)
+        }),
     ])
     def test_matches_dense_profile_grid(self, name, points):
         # The profile SSE at k, evaluated directly on a dense grid of
@@ -260,6 +266,23 @@ class TestFitLogistic:
             assert fit.degenerate == ref_degenerate
             assert abs(fit.k - ref_k) <= 1e-6 * ref_k
             assert fit.sse <= ref_sse * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("corpus, digest", [
+        ("search", "012f3d995fa90195de83de07dfe27edf3716deffcf43d925348995fdfa5ee20a"),
+        ("noise-free", "44265f329c11ccc70082dae698c69f66bbc12c98f1ddf9dd28eb3785f3be1f8c"),
+    ])
+    def test_fits_are_pinned(self, dataset, corpus, digest):
+        # Every bit of every fit: a change to the search that moves any
+        # result, even in its last place, changes the digest.
+        if corpus == "search":
+            fits = [fit_logistic(s) for s in search_corpus(dataset)]
+        else:
+            fits = [fit_logistic(s) for s, _ in scenario_series(50, seed=1, noise=(0.0, 0.0))]
+        lines = "".join(
+            f"{fit.k.hex()} {fit.a.hex()} {fit.b.hex()} {fit.sse.hex()} {fit.degenerate}\n"
+            for fit in fits
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
     def test_brent_evaluations_per_fit(self, dataset, monkeypatch):
         # Brent stops at a k-resolution relative to k: about 14 evaluations per
