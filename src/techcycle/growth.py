@@ -141,6 +141,11 @@ _K_TOL = 1e-11  # the search's resolution of k, relative to k
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, as a share of the larger side
 
 
+def _u_step(u: float) -> float:
+    """The step in ``u = log(k - 1)`` (unit-max scale) that moves k by ``_K_TOL * k``."""
+    return _K_TOL * (1.0 + math.exp(-u))
+
+
 def _brent_min(f, lo: float, hi: float, x: float, fx: float) -> None:
     """Minimise ``f`` on ``[lo, hi]`` from the point ``x``, where ``f(x) = fx``.
 
@@ -149,16 +154,23 @@ def _brent_min(f, lo: float, hi: float, x: float, fx: float) -> None:
     through the three best points so far, or, where that vertex falls
     outside the bracket or the steps stop shrinking, a golden-section step
     into the larger side.  As in Brent, the tolerance is set from the best
-    point ``x`` on each step: ``x`` is ``u = log(k - 1)`` on the unit-max
-    scale, so ``tol = _K_TOL * (1 + exp(-x))`` is the u-step that moves k
+    point ``x`` on each step: ``tol = _u_step(x)``, the u-step that moves k
     by ``_K_TOL * k``.  No two evaluations are closer than ``tol``; the
     search stops once the bracket lies within ``2 * tol`` of the best
     point.  Nothing is returned: ``f`` records what it evaluates.
+
+    When ``x`` is ``lo`` or ``hi``, ``f`` is first evaluated one ``tol``
+    inward; if that value is not below ``fx``, ``x`` is taken as the
+    minimum and no Brent step is made.  Otherwise Brent runs from ``x`` as
+    above, with the probe left out of its state.
     """
     w = v = x
     fw = fv = fx
     d = e = 0.0
-    while max(x - lo, hi - x) > 2.0 * (tol := _K_TOL * (1.0 + math.exp(-x))):
+    tol = _u_step(x)
+    if (x == lo or x == hi) and f(x + tol if x == lo else x - tol) >= fx:
+        return
+    while max(x - lo, hi - x) > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         golden = True
         if abs(e) > tol:
@@ -181,6 +193,7 @@ def _brent_min(f, lo: float, hi: float, x: float, fx: float) -> None:
         if fu <= fx:
             lo, hi = (x, hi) if u >= x else (lo, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            tol = _u_step(x)
         else:
             lo, hi = (lo, u) if u >= x else (u, hi)
             if fu <= fw or w == x:
@@ -199,8 +212,11 @@ def fit_logistic(series: RevenueSeries) -> LogisticFit:
     ``(max, 5 * max]``, searched as ``u = log((k - max) / max)``: a scan of
     8 evenly spaced u values from ``k = max * (1 + 1e-6)`` to
     ``k = 5 * max``, then Brent's method on the bracket around the best
-    scan point down to a resolution of k of 1e-11 relative to k.  The
-    lowest-SSE candidate evaluated wins.  Deterministic throughout.
+    scan point down to a resolution of k of 1e-11 relative to k.  When the
+    best scan point is the first or the last, one evaluation a resolution
+    step inward decides: if it is no lower, that end is the answer and
+    Brent makes no step.  The lowest-SSE candidate evaluated wins.
+    Deterministic throughout.
     """
     points = [(year, value) for year, value in series.points.items() if value > 0.0]
     n = len(points)

@@ -66,7 +66,9 @@ class RevenueSeries:
         if not ordered:
             raise TechCycleError(f"{self.technology}: series has no observations")
         for year, value in ordered.items():
-            if not math.isfinite(value) or value < 0:
+            if not math.isfinite(value):
+                raise TechCycleError(f"{self.technology}: value for {year} is not finite")
+            if value < 0:
                 raise TechCycleError(f"{self.technology}: value for {year} must be >= 0")
         if all(value == 0 for value in ordered.values()):
             raise TechCycleError(f"{self.technology}: series needs at least one positive value")

@@ -285,8 +285,9 @@ class TestFitLogistic:
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
     def test_brent_evaluations_per_fit(self, dataset, monkeypatch):
-        # Brent stops at a k-resolution relative to k: about 14 evaluations per
-        # fit here, where a fixed u-resolution of 1e-11 took about 27.
+        # Brent stops at a k-resolution relative to k, and a fit whose best scan
+        # point is an end of the range stops after one probe: about 5.6
+        # evaluations per fit here, where Brent from every end took about 14.
         calls = 0
         brent_min = growth._brent_min
 
@@ -301,7 +302,37 @@ class TestFitLogistic:
         corpus = search_corpus(dataset)
         for s in corpus:
             fit_logistic(s)
-        assert calls / len(corpus) <= 16.0
+        assert calls / len(corpus) <= 7.0
+
+    def test_end_fit_makes_one_evaluation(self, monkeypatch):
+        # A fit whose best scan point is an end of the search range probes one
+        # step inward and, finding it no lower, makes no Brent step; an
+        # interior fit walks as before.
+        counts = []
+        brent_min = growth._brent_min
+
+        def counted(f, *args):
+            counts.append(0)
+
+            def f_counted(u):
+                counts[-1] += 1
+                return f(u)
+            brent_min(f_counted, *args)
+
+        monkeypatch.setattr(growth, "_brent_min", counted)
+        truth = LogisticParams(k=1000.0, a=6.0, b=0.5)
+        saturated = {t: logistic_value(truth, float(t)) * (1.0 + 0.02 * math.sin(2.9 * t))
+                     for t in range(0, 31)}
+        unsaturated = {t: 10.0 * 1.3**t for t in range(0, 16)}
+        interior = {t: logistic_value(truth, float(t)) * (1.0 + 0.05 * math.sin(1.7 * t))
+                    for t in range(0, 21)}
+        k_over_max = [fit_logistic(series(points)).k / max(points.values())
+                      for points in (saturated, unsaturated, interior)]
+        assert k_over_max[:2] == [pytest.approx(1.0 + 1e-6, rel=1e-12),
+                                  pytest.approx(5.0, rel=1e-12)]
+        assert 1.01 < k_over_max[2] < 4.99
+        assert counts[:2] == [1, 1]
+        assert counts[2] > 1
 
     def test_noise_free_growth_rate_precision(self):
         # 17 of these 100 truths have k within 1e-6 of the series maximum,

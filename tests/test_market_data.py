@@ -284,6 +284,11 @@ class TestSeriesValidation:
         with pytest.raises(TechCycleError, match="value for 2000 must be >= 0"):
             make_series({2000: -1.0})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(TechCycleError, match="^x: value for 2000 is not finite$"):
+            make_series({2000: value, 2001: 1.0})
+
     def test_points_sorted_and_immutable(self):
         series = make_series({2002: 1.0, 2000: 2.0, 2001: 3.0})
         assert series.years == (2000, 2001, 2002)
