@@ -24,7 +24,7 @@ from techcycle.growth import (
     odds_relation,
 )
 from techcycle.market_data import RevenueSeries
-from techcycle.synthlab import SyntheticScenario, generate_scenario
+from techcycle.synthlab import SyntheticScenario, generate_scenario, recovery_experiment
 
 
 def series(points, name="x"):
@@ -93,9 +93,8 @@ def golden_section_fit(s):
     return k * vmax, sse * vmax * vmax, not (b > 1e-12)
 
 
-def scenario_series(count, seed=2024, noise=(0.01, 0.1)):
-    """Both series of ``count`` seeded dual-logistic scenarios, each with its
-    true parameters, as ``(series, params)``: 20-120 years, relative noise
+def seeded_scenarios(count, seed=2024, noise=(0.01, 0.1)):
+    """``count`` seeded dual-logistic scenarios: 20-120 years, relative noise
     drawn from the ``noise`` range, rate ratio 0.5-4, each curve at 10% of
     capacity 25-40% of the way through."""
     rng = random.Random(seed)
@@ -107,10 +106,16 @@ def scenario_series(count, seed=2024, noise=(0.01, 0.1)):
         for b in (b_old, b_old * 0.5 * 8.0 ** rng.random()):
             inflection = length * rng.uniform(0.25, 0.4) + math.log(9.0) / b
             params.append(LogisticParams(k=rng.uniform(500.0, 5000.0), a=b * inflection, b=b))
-        scenario = SyntheticScenario(p_old=params[0], p_new=params[1], years=(0, length - 1),
-                                     noise_rel=rng.uniform(*noise), seed=index)
-        out.extend(zip(generate_scenario(scenario), params))
+        out.append(SyntheticScenario(p_old=params[0], p_new=params[1], years=(0, length - 1),
+                                     noise_rel=rng.uniform(*noise), seed=index))
     return out
+
+
+def scenario_series(count, seed=2024, noise=(0.01, 0.1)):
+    """Both series of each of ``seeded_scenarios(count, seed, noise)``, each
+    with its true parameters, as ``(series, params)``."""
+    return [pair for s in seeded_scenarios(count, seed, noise)
+            for pair in zip(generate_scenario(s), (s.p_old, s.p_new))]
 
 
 def search_corpus(dataset):
@@ -283,6 +288,33 @@ class TestFitLogistic:
             for fit in fits
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, noise, digest", [
+        (2024, (0.01, 0.1), "4a797b731081911373dbe4d00dbcf9c0e7556d6905b783fd9a1931235c83ca3a"),
+        (1, (0.0, 0.0), "7cc792e99833e5240f3f9107f76b56726e79d5f41f128e1805279c52dddb3c8e"),
+    ])
+    def test_recovery_sweep_is_pinned(self, seed, noise, digest):
+        # Every bit of every realized value and of every recovery report of a
+        # synth-lab sweep (four early fractions and one explicit window), or
+        # the error it raises: a change to the realization, the early window
+        # or the substitution fit that moves any result changes the digest.
+        lines = []
+        for s in seeded_scenarios(50, seed, noise):
+            for series in generate_scenario(s):
+                lines += [f"{t} {value.hex()}" for t, value in series.points.items()]
+            runs = [{"early_fraction": f} for f in (0.05, 0.1, 0.2, 0.3)]
+            runs.append({"window": (0, s.years[1] // 2)})
+            for kwargs in runs:
+                try:
+                    r = recovery_experiment(s, **kwargs)
+                except TechCycleError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+                    continue
+                lines.append(" ".join([
+                    r.b_theoretical.hex(), r.b_fitted.hex(), r.abs_gap.hex(),
+                    str(r.window_used), r.saturation_level.hex()]))
+        text = "".join(line + "\n" for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_brent_evaluations_per_fit(self, dataset, monkeypatch):
         # Brent stops at a k-resolution relative to k, and a fit whose best scan
