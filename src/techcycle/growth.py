@@ -305,15 +305,16 @@ def fit_substitution(
     first, last = window
     xs: list[float] = []
     ys: list[float] = []
+    old_points, new_points = established.points, disruptive.points
     for year in range(first, last + 1):
-        v = established.value(year)
-        ki = disruptive.value(year)
-        for name, value in ((established.technology, v), (disruptive.technology, ki)):
-            if value is None or value <= 0.0:
-                raise TechCycleError(
-                    f"{name}: value for {year} is absent or non-positive inside window "
-                    f"{first}-{last}"
-                )
+        v = old_points.get(year, 0.0)  # an absent year fails the test as 0 does
+        ki = new_points.get(year, 0.0)
+        if not (v > 0.0 and ki > 0.0):
+            name = (disruptive if v > 0.0 else established).technology
+            raise TechCycleError(
+                f"{name}: value for {year} is absent or non-positive inside window "
+                f"{first}-{last}"
+            )
         xs.append(math.log(v))
         ys.append(math.log(ki))
     if len(xs) < 3:

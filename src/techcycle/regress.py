@@ -19,6 +19,8 @@ class OlsFit:
 
     ``f_stat`` equals ``t_slope ** 2`` and ``p_f`` equals ``p_slope`` up to
     rounding; both are computed independently so the identity stays testable.
+    The p-values are computed from the statistics each time they are read,
+    so a caller that reads none of them pays for none.
     """
 
     intercept: float
@@ -27,15 +29,24 @@ class OlsFit:
     se_slope: float
     t_intercept: float
     t_slope: float
-    p_intercept: float
-    p_slope: float
     r2: float
     r2_adj: float
     se_estimate: float
     f_stat: float
-    p_f: float
     n: int
     df: int
+
+    @property
+    def p_intercept(self) -> float:
+        return t_p_value(self.t_intercept, self.df)
+
+    @property
+    def p_slope(self) -> float:
+        return t_p_value(self.t_slope, self.df)
+
+    @property
+    def p_f(self) -> float:
+        return _f_tail(self.f_stat, self.df)
 
 
 def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
@@ -85,10 +96,6 @@ def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
     ssr = max(syy - sse, 0.0)
     f_stat = ssr / s2 if s2 > 0.0 else math.inf
 
-    p_slope = t_p_value(t_slope, df)
-    p_intercept = t_p_value(t_intercept, df)
-    p_f = _f_tail(f_stat, df)
-
     return OlsFit(
         intercept=intercept,
         slope=slope,
@@ -96,13 +103,10 @@ def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
         se_slope=se_slope,
         t_intercept=t_intercept,
         t_slope=t_slope,
-        p_intercept=p_intercept,
-        p_slope=p_slope,
         r2=r2,
         r2_adj=r2_adj,
         se_estimate=se_estimate,
         f_stat=f_stat,
-        p_f=p_f,
         n=n,
         df=df,
     )

@@ -79,25 +79,35 @@ def generate_scenario(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSerie
     Year t of series i uses draw index ``2 * (t - first) + i``, so the two
     series consume disjoint, reproducible portions of the stream.  Values
     are ``level * (1 + noise_rel * eps)`` with eps uniform in [-1, 1),
-    clamped at zero.  A scenario is realized once; every window reads it.
+    clamped at zero; a noise-free scenario takes the levels as they are and
+    draws nothing.  A scenario is realized once, with its true levels kept
+    beside the series: every window reads the series, and every early
+    window reads the levels.
     """
-    return _realized(s)
+    return _realized(s)[0]
 
 
 # keyed by the record's equality, which covers every input of the draw loop
 @functools.lru_cache(maxsize=1)
-def _realized(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSeries]:
-    first, last = s.years
-    series = []
+def _realized(
+    s: SyntheticScenario,
+) -> tuple[tuple[RevenueSeries, RevenueSeries], tuple[list[float], list[float]]]:
+    """The scenario's (established, disruptive) series and the true levels of
+    each curve, year by year from the first."""
+    years = range(s.years[0], s.years[1] + 1)
+    series, levels = [], []
     for offset, params in ((0, s.p_old), (1, s.p_new)):
-        points = {}
-        for t in range(first, last + 1):
-            eps = _uniform_pm1(2 * (t - first) + offset, s.seed)
-            value = logistic_value(params, float(t)) * (1.0 + s.noise_rel * eps)
-            points[t] = max(value, 0.0)
+        curve = [logistic_value(params, float(t)) for t in years]
+        values = curve
+        if s.noise_rel:  # level * (1 + 0 * eps) is level: a noise-free scenario draws nothing
+            values = [
+                max(level * (1.0 + s.noise_rel * _uniform_pm1(2 * i + offset, s.seed)), 0.0)
+                for i, level in enumerate(curve)
+            ]
         name = "established" if offset == 0 else "disruptive"
-        series.append(RevenueSeries(technology=name, base_year=first, points=points))
-    return series[0], series[1]
+        series.append(RevenueSeries(name, years[0], dict(zip(years, values))))
+        levels.append(curve)
+    return (series[0], series[1]), (levels[0], levels[1])
 
 
 def recovery_experiment(
@@ -110,9 +120,14 @@ def recovery_experiment(
     Without an explicit window, the fit is restricted to the early phase:
     years where both true curves sit below ``early_fraction`` of their
     equilibrium levels, which is where the power-law approximation holds.
+    A scenario that cannot be realized (a noisy level past the float range)
+    is an input error, whatever the window.
     """
+    if window is None and not (0.0 < early_fraction < 1.0):
+        raise TechCycleError(f"early fraction must be in (0, 1), got {early_fraction}")
+    (old_series, new_series), levels = _realized(s)
     if window is None:
-        window = _early_window(s, early_fraction)
+        window = _early_window(s, levels, early_fraction)
         if window is None or window[1] - window[0] < 2:
             raise WindowError(
                 f"early window (fraction {early_fraction}) has fewer than 3 years; "
@@ -120,7 +135,6 @@ def recovery_experiment(
             )
     try:
         # fit_substitution names the first window year that the scenario lacks
-        old_series, new_series = _realized(s)
         fit = fit_substitution(new_series, old_series, window=window)
     except TechCycleError as exc:
         raise WindowError(f"window {window} not fittable: {exc}") from exc
@@ -136,22 +150,22 @@ def recovery_experiment(
     )
 
 
-def _early_window(s: SyntheticScenario, fraction: float) -> tuple[int, int] | None:
-    """Prefix of the year range where both true levels stay below fraction*k."""
-    if not (0.0 < fraction < 1.0):
-        raise TechCycleError(f"early fraction must be in (0, 1), got {fraction}")
-    first, last = s.years
-    end = None
-    for t in range(first, last + 1):
-        below = all(
-            logistic_value(p, float(t)) < fraction * p.k for p in (s.p_old, s.p_new)
-        )
-        if not below:
+def _early_window(
+    s: SyntheticScenario, levels: tuple[list[float], list[float]], fraction: float
+) -> tuple[int, int] | None:
+    """Prefix of the year range where both true levels stay below fraction*k.
+
+    Reads the true levels that ``_realized`` keeps, so no curve is evaluated
+    again for any fraction.
+    """
+    cap_old, cap_new = fraction * s.p_old.k, fraction * s.p_new.k
+    count = 0
+    for old, new in zip(*levels):
+        if not (old < cap_old and new < cap_new):
             break
-        end = t
-    if end is None:
-        return None
-    return (first, end)
+        count += 1
+    first = s.years[0]
+    return (first, first + count - 1) if count else None
 
 
 def scenario_from_mapping(values: dict[str, str]) -> SyntheticScenario:

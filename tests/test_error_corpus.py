@@ -199,6 +199,17 @@ CLI = {
         f"error: {{tmp}}/s.cfg: year range ({10**400}, {10**400 + 40}) is not within "
         "[-1000000, 1000000]\n",
     ),
+    # a noisy level past the float range: the scenario cannot be realized, on either path
+    **{
+        f"scenario-unrealizable{label}": (
+            ["simulate", "--scenario", "{tmp}/s.cfg", *window],
+            {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
+             .replace("k1 = 1000", "k1 = 1.7e308").replace("noise_rel = 0", "noise_rel = 0.5")
+             .replace("seed = 42", "seed = 3")}, 2,
+            "error: established: value for 31 is not finite\n",
+        )
+        for label, window in (("", []), ("-window", ["--window", "0:30"]))
+    },
     # one input per kind of fault
     "revenue-both-columns-empty": (
         ["validate", *TINY], tiny("2000,Old,,,\n"), 2,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from techcycle.errors import InsufficientDataError, TechCycleError
-from techcycle.regress import ols_simple, significance_stars, t_p_value
+from techcycle.regress import OlsFit, _f_tail, ols_simple, significance_stars, t_p_value
 
 
 def t_density(x, df):
@@ -75,6 +75,23 @@ class TestOlsSimple:
         assert fit.p_f == pytest.approx(fit.p_slope, abs=1e-9)
         assert fit.r2_adj == pytest.approx(1 - (1 - fit.r2) * 11 / 10, rel=1e-12)
         assert 0.0 <= fit.r2 <= 1.0 and fit.r2_adj <= fit.r2
+
+    def test_p_values_are_computed_from_the_statistics(self):
+        rng = np.random.RandomState(5)
+        xs = list(rng.uniform(0, 10, size=9))
+        ys = [0.3 * x + 1 + e for x, e in zip(xs, rng.normal(0, 1, size=9))]
+        fit = ols_simple(xs, ys)
+        assert fit.p_intercept == t_p_value(fit.t_intercept, fit.df)
+        assert fit.p_slope == t_p_value(fit.t_slope, fit.df)
+        assert fit.p_f == _f_tail(fit.f_stat, fit.df)
+        # the p-values are read from the statistics, never stored beside them
+        stats = {name: getattr(fit, name) for name in (
+            "intercept", "slope", "se_intercept", "se_slope", "t_intercept", "t_slope",
+            "r2", "r2_adj", "se_estimate", "f_stat", "n", "df")}
+        assert OlsFit(**stats) == fit
+        for name in ("p_intercept", "p_slope", "p_f"):
+            with pytest.raises(TypeError, match=name):
+                OlsFit(**stats, **{name: 0.5})
 
     @given(
         st.lists(st.floats(-50, 50), min_size=4, max_size=20, unique=True),

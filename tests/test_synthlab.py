@@ -209,6 +209,40 @@ class TestRealizedOnce:
         years = s.years[1] - s.years[0] + 1
         assert draws == Counter(range(2 * years))
 
+    def test_noise_free_scenario_draws_nothing(self, monkeypatch):
+        draws = Counter()
+        uniform = synthlab._uniform_pm1
+
+        def counted(index, seed):
+            draws[index] += 1
+            return uniform(index, seed)
+
+        synthlab._realized.cache_clear()
+        monkeypatch.setattr(synthlab, "_uniform_pm1", counted)
+        s = scenario(noise=0.0, seed=7, years=(2000, 2040), t1=2025.0, t2=2028.0)
+        for series, p in zip(generate_scenario(s), (s.p_old, s.p_new)):
+            assert list(series.points) == list(range(2000, 2041))
+            for t, value in series.points.items():
+                assert value == logistic_value(p, float(t))
+        assert not draws
+
+    def test_early_windows_read_the_realized_levels(self, monkeypatch):
+        # Each curve is evaluated once per year when the scenario is realized;
+        # after that a report evaluates only the two saturation levels.
+        calls = 0
+
+        def counted(p, t):
+            nonlocal calls
+            calls += 1
+            return logistic_value(p, t)
+
+        synthlab._realized.cache_clear()
+        monkeypatch.setattr(synthlab, "logistic_value", counted)
+        s = swept_scenario()
+        sweep(s)
+        years = s.years[1] - s.years[0] + 1
+        assert calls == 2 * years + 2 * 5
+
     def test_equal_distinct_scenarios_give_equal_results(self):
         first, second = swept_scenario(), swept_scenario()
         assert first == second and first is not second
