@@ -35,12 +35,23 @@ def scanned_saturation(s, window):
 
 
 class TestGenerateScenario:
-    def test_noise_free_equals_pointwise_logistic(self):
+    def test_noise_free_equals_pointwise_logistic(self, monkeypatch):
+        # level * (1 + 0 * eps) is level, so a noise-free scenario draws nothing
+        draws = Counter()
+        uniform = synthlab._uniform_pm1
+
+        def counted(index, seed):
+            draws[index] += 1
+            return uniform(index, seed)
+
+        synthlab._realized.cache_clear()
+        monkeypatch.setattr(synthlab, "_uniform_pm1", counted)
         s = scenario(noise=0.0)
         old, new = generate_scenario(s)
         for t in range(s.years[0], s.years[1] + 1):
             assert old.value(t) == logistic_value(s.p_old, float(t))
             assert new.value(t) == logistic_value(s.p_new, float(t))
+        assert not draws
 
     def test_same_seed_is_bit_identical(self):
         s = scenario(noise=0.2, seed=42)
@@ -208,23 +219,6 @@ class TestRealizedOnce:
         sweep(s)
         years = s.years[1] - s.years[0] + 1
         assert draws == Counter(range(2 * years))
-
-    def test_noise_free_scenario_draws_nothing(self, monkeypatch):
-        draws = Counter()
-        uniform = synthlab._uniform_pm1
-
-        def counted(index, seed):
-            draws[index] += 1
-            return uniform(index, seed)
-
-        synthlab._realized.cache_clear()
-        monkeypatch.setattr(synthlab, "_uniform_pm1", counted)
-        s = scenario(noise=0.0, seed=7, years=(2000, 2040), t1=2025.0, t2=2028.0)
-        for series, p in zip(generate_scenario(s), (s.p_old, s.p_new)):
-            assert list(series.points) == list(range(2000, 2041))
-            for t, value in series.points.items():
-                assert value == logistic_value(p, float(t))
-        assert not draws
 
     def test_early_windows_read_the_realized_levels(self, monkeypatch):
         # Each curve is evaluated once per year when the scenario is realized;
