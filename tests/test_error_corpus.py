@@ -146,6 +146,28 @@ CLI = {
         ["cycles", "--config", "{tmp}/r.cfg"], reference("end_threshold_rel", "= 0.01"), 2,
         "error: {tmp}/r.cfg: line 7: empty key\n",
     ),
+    "config-line-without-equals": (
+        ["cycles", "--config", "{tmp}/r.cfg"],
+        reference("end_threshold_rel", "end_threshold_rel 0.01"), 2,
+        "error: {tmp}/r.cfg: line 7: expected 'name = value'\n",
+    ),
+    "groups-duplicate-key": (
+        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nold = New\n"},
+        2, "error: {tmp}/groups.cfg: line 2: duplicate key 'old'\n",
+    ),
+    "groups-no-formats": (
+        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nnew = ;\n"},
+        2, "error: {tmp}/groups.cfg: group 'new' lists no formats\n",
+    ),
+    "groups-format-in-two-groups": (
+        ["validate", *TINY],
+        {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nnew = New; Old\n"}, 2,
+        "error: {tmp}/groups.cfg: format 'Old' appears in both 'old' and 'new'\n",
+    ),
+    "groups-none-defined": (
+        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "# no groups\n\n"}, 2,
+        "error: {tmp}/groups.cfg: no groups defined\n",
+    ),
     **{
         f"config-table1_window={window}": (
             ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
