@@ -181,23 +181,8 @@ def cmd_simulate(args) -> str:
             Path(args.out) / f"{series.technology}.csv": report_mod.series_to_csv(series, "level")
             for series in generate_scenario(scenario)
         })
-    mapping = {
-        "b_theoretical": result.b_theoretical,
-        "b_fitted": result.b_fitted,
-        "abs_gap": result.abs_gap,
-        "window_first": result.window_used[0],
-        "window_last": result.window_used[1],
-        "saturation_level": result.saturation_level,
-        "seed": scenario.seed,
-    }
-    text = (
-        f"theoretical exponent (rate ratio): {result.b_theoretical:.4f}\n"
-        f"fitted exponent:                   {result.b_fitted:.4f}\n"
-        f"absolute gap:                      {result.abs_gap:.4f}\n"
-        f"window: {result.window_used[0]}-{result.window_used[1]}   "
-        f"max level/capacity in window: {result.saturation_level:.4f}\n"
-    )
-    return report_mod.render(args.format, mapping, text)
+    return report_mod.render(args.format, report_mod.recovery_to_mapping(result, scenario.seed),
+                             report_mod.render_recovery_text(result))
 
 
 def cmd_report(args) -> str:

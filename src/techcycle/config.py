@@ -28,26 +28,27 @@ def _read_text(path: str | Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise TechCycleError(f"{path}: byte {exc.start} (0x{data[exc.start]:02x}) is not UTF-8") from None
+        raise TechCycleError(f"byte {exc.start} (0x{data[exc.start]:02x}) is not UTF-8") from None
     return text[1:] if text.startswith("\ufeff") else text
 
 
 def read_kv_file(path: str | Path) -> dict[str, str]:
     """Parse ``name = value`` lines, preserving order."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise TechCycleError(f"{path}: line {line_no}: expected 'name = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise TechCycleError(f"{path}: line {line_no}: empty key")
-        if key in values:
-            raise TechCycleError(f"{path}: line {line_no}: duplicate key {key!r}")
-        values[key] = value.strip()
+    with located(path):
+        for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise TechCycleError(f"line {line_no}: expected 'name = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise TechCycleError(f"line {line_no}: empty key")
+            if key in values:
+                raise TechCycleError(f"line {line_no}: duplicate key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -57,36 +58,35 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
     A name is also a flag value, part of config keys and pair lists, and a
     file name, so it may hold only ASCII letters, digits, '-' and '_'.
     """
+    values = read_kv_file(path)
     groups: list[TechnologyGroup] = []
     claimed: dict[str, str] = {}
-    for name, value in read_kv_file(path).items():
-        if not _NAME.fullmatch(name):
-            raise TechCycleError(f"{path}: group name {name!r} {_NAME_RULE}")
-        formats = tuple(f.strip() for f in value.split(";") if f.strip())
-        if not formats:
-            raise TechCycleError(f"{path}: group {name!r} lists no formats")
-        for fmt in formats:
-            if fmt in claimed:
-                raise TechCycleError(
-                    f"{path}: format {fmt!r} appears in both {claimed[fmt]!r} and {name!r}"
-                )
-            claimed[fmt] = name
-        groups.append(TechnologyGroup(name=name, formats=formats))
-    if not groups:
-        raise TechCycleError(f"{path}: no groups defined")
+    with located(path):
+        for name, value in values.items():
+            if not _NAME.fullmatch(name):
+                raise TechCycleError(f"group name {name!r} {_NAME_RULE}")
+            formats = tuple(f.strip() for f in value.split(";") if f.strip())
+            if not formats:
+                raise TechCycleError(f"group {name!r} lists no formats")
+            for fmt in formats:
+                if fmt in claimed:
+                    raise TechCycleError(f"format {fmt!r} appears in both {claimed[fmt]!r} "
+                                         f"and {name!r}")
+                claimed[fmt] = name
+            groups.append(TechnologyGroup(name=name, formats=formats))
+        if not groups:
+            raise TechCycleError("no groups defined")
     return groups
 
 
 def load_cpi_csv(path: str | Path) -> CpiTable:
-    text = _read_text(path)
     with located(path):
-        return parse_cpi_table(text)
+        return parse_cpi_table(_read_text(path))
 
 
 def load_revenue_csv(path: str | Path) -> list[RevenueRecord]:
-    text = _read_text(path)
     with located(path):
-        return parse_revenue_table(text)
+        return parse_revenue_table(_read_text(path))
 
 
 def technology_names(combo: str) -> list[str]:
@@ -176,33 +176,35 @@ def load_reference(path: str | Path) -> ReferenceConfig:
     ``a_override.<group> = <year>`` keys for ``a_overrides``.  Absent keys
     keep the class defaults; unknown keys and invalid group names are errors.
     """
+    values = read_kv_file(path)
     defaults = ReferenceConfig()
     fields: dict = {}
     a_overrides: dict[str, int] = {}
-    for key, value in read_kv_file(path).items():
-        if key.startswith("a_override."):
-            target, name, parse = a_overrides, key[len("a_override."):], _parse_year
-            if not _NAME.fullmatch(name):
-                raise TechCycleError(f"{path}: {key}: name {name!r} {_NAME_RULE}")
-        elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
-            target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
-        else:
-            raise TechCycleError(f"{path}: unknown key {key!r}")
-        try:
-            target[name] = parse(value)
-        except ValueError as exc:
-            raise TechCycleError(f"{path}: {key}: {exc}") from None
-    ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
-    for table, old, new in (("table1", ref.table1_old, ref.table1_new),
-                            ("table2", ref.table2_old, ref.table2_new)):
-        if shared := shared_technology(old, new):
-            raise TechCycleError(f"{path}: {table}_old and {table}_new both name {shared!r}")
-    for key, ok, domain in (  # each test is also false for nan
-        ("end_threshold_rel", 0.0 < ref.end_threshold_rel < 1.0, "(0, 1)"),
-        ("dp_residual_max", 0.0 <= ref.dp_residual_max <= 1.0, "[0, 1]"),
-    ):
-        if not ok:
-            raise TechCycleError(f"{path}: {key}: {getattr(ref, key)} is not in {domain}")
+    with located(path):
+        for key, value in values.items():
+            if key.startswith("a_override."):
+                target, name, parse = a_overrides, key[len("a_override."):], _parse_year
+                if not _NAME.fullmatch(name):
+                    raise TechCycleError(f"{key}: name {name!r} {_NAME_RULE}")
+            elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
+                target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
+            else:
+                raise TechCycleError(f"unknown key {key!r}")
+            try:
+                target[name] = parse(value)
+            except ValueError as exc:
+                raise TechCycleError(f"{key}: {exc}") from None
+        ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
+        for table, old, new in (("table1", ref.table1_old, ref.table1_new),
+                                ("table2", ref.table2_old, ref.table2_new)):
+            if shared := shared_technology(old, new):
+                raise TechCycleError(f"{table}_old and {table}_new both name {shared!r}")
+        for key, ok, domain in (  # each test is also false for nan
+            ("end_threshold_rel", 0.0 < ref.end_threshold_rel < 1.0, "(0, 1)"),
+            ("dp_residual_max", 0.0 <= ref.dp_residual_max <= 1.0, "[0, 1]"),
+        ):
+            if not ok:
+                raise TechCycleError(f"{key}: {getattr(ref, key)} is not in {domain}")
     return ref
 
 

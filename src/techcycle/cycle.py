@@ -182,8 +182,8 @@ def crossover_year(
     hi = min(established.last_year, disruptive.last_year)
     first_comparable: int | None = None
     for year in range(lo, hi + 1):
-        old = established.value(year)
-        new = disruptive.value(year)
+        old = established.points.get(year)
+        new = disruptive.points.get(year)
         if old is None or new is None or old + new <= 0.0:
             continue
         if first_comparable is None:

@@ -55,7 +55,8 @@ class LogisticFit:
 
     ``degenerate`` is set when the linearized regression finds no usable
     growth (e.g. a series already saturated at a constant level); ``k`` is
-    still meaningful in that case but ``params`` cannot be constructed.
+    still meaningful in that case, but ``a`` and ``b`` describe no valid
+    ``LogisticParams``.
     """
 
     k: float
@@ -65,12 +66,6 @@ class LogisticFit:
     n_points: int
     degenerate: bool
 
-    @property
-    def params(self) -> LogisticParams:
-        if self.degenerate:
-            raise TechCycleError("degenerate logistic fit has no valid growth parameters")
-        return LogisticParams(k=self.k, a=self.a, b=self.b)
-
 
 @frozen
 class OddsRelation:
@@ -79,19 +74,12 @@ class OddsRelation:
     For curves 1 and 2 sharing the time axis,
     ``odds1(t) = c1 * odds2(t) ** exponent`` holds identically, with
     ``c1 = exp(b1 * (t2 - t1))`` (``t1``, ``t2`` the inflection times) and
-    ``exponent = b1 / b2``.  The constant is stored in log space; widely
+    ``exponent = b1 / b2``.  The constant is held only as ``log_c1``; widely
     separated inflections would overflow ``c1`` itself.
     """
 
     log_c1: float
     exponent: float
-
-    @property
-    def c1(self) -> float:
-        try:
-            return math.exp(self.log_c1)
-        except OverflowError:
-            return math.inf
 
 
 class Regime(enum.Enum):

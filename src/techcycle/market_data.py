@@ -53,8 +53,10 @@ class RevenueRecord:
 class RevenueSeries:
     """A technology's annual constant-dollar revenue, ordered by year.
 
-    Missing years are kept absent rather than zero-filled; ``gap_years``
-    lists them so consumers can tell absence from extinction.
+    Read it through ``points`` (year to value, in year order; ``points.get``
+    for one year), ``first_year``, ``last_year`` and ``gap_years``.  Missing
+    years are kept absent rather than zero-filled; ``gap_years`` lists them
+    so consumers can tell absence from extinction.
     """
 
     technology: str
@@ -75,16 +77,12 @@ class RevenueSeries:
         object.__setattr__(self, "points", MappingProxyType(ordered))
 
     @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(self.points)
-
-    @property
     def first_year(self) -> int:
         return next(iter(self.points))
 
     @property
     def last_year(self) -> int:
-        return self.years[-1]
+        return next(reversed(self.points))
 
     @property
     def gap_years(self) -> tuple[int, ...]:
@@ -92,9 +90,6 @@ class RevenueSeries:
         return tuple(
             year for year in range(self.first_year, self.last_year + 1) if year not in present
         )
-
-    def value(self, year: int) -> float | None:
-        return self.points.get(year)
 
 
 @frozen
@@ -253,7 +248,7 @@ def positive_overlap_window(a: RevenueSeries, b: RevenueSeries) -> tuple[int, in
     best: tuple[int, int] | None = None
     run_start: int | None = None
     for year in range(lo, hi + 2):  # one past the end flushes the last run
-        ok = year <= hi and (a.value(year) or 0.0) > 0.0 and (b.value(year) or 0.0) > 0.0
+        ok = year <= hi and a.points.get(year, 0.0) > 0.0 and b.points.get(year, 0.0) > 0.0
         if ok and run_start is None:
             run_start = year
         elif not ok and run_start is not None:

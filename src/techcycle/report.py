@@ -1,5 +1,5 @@
 """Dataset loading and the headline report combining fits, crossovers and
-cycle tables, with text/CSV/JSON renderers.
+cycle tables, with text/CSV/JSON renderers for it and for `simulate`.
 
 Text output rounds to two decimals for reading; CSV and JSON carry full
 precision.  All renderers are deterministic: same inputs, same bytes.
@@ -37,6 +37,7 @@ from .market_data import (
     merge_series,
 )
 from .regress import significance_stars
+from .synthlab import RecoveryReport
 
 FORMATS = {"text": "txt", "csv": "csv", "json": "json"}  # output format -> file extension
 
@@ -241,6 +242,28 @@ def render_fit_text(fit: SubstitutionFit) -> str:
         f"Regime: {fit.regime.value}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def recovery_to_mapping(result: RecoveryReport, seed: int) -> dict:
+    return {
+        "b_theoretical": result.b_theoretical,
+        "b_fitted": result.b_fitted,
+        "abs_gap": result.abs_gap,
+        "window_first": result.window_used[0],
+        "window_last": result.window_used[1],
+        "saturation_level": result.saturation_level,
+        "seed": seed,
+    }
+
+
+def render_recovery_text(result: RecoveryReport) -> str:
+    return (
+        f"theoretical exponent (rate ratio): {result.b_theoretical:.4f}\n"
+        f"fitted exponent:                   {result.b_fitted:.4f}\n"
+        f"absolute gap:                      {result.abs_gap:.4f}\n"
+        f"window: {result.window_used[0]}-{result.window_used[1]}   "
+        f"max level/capacity in window: {result.saturation_level:.4f}\n"
+    )
 
 
 def _fmt(value: float, digits: int) -> str:

@@ -82,7 +82,7 @@ def generate_scenario(s: SyntheticScenario) -> tuple[RevenueSeries, RevenueSerie
     clamped at zero; a noise-free scenario takes the levels as they are and
     draws nothing.  A scenario is realized once, with its true levels kept
     beside the series: every window reads the series, and every early
-    window reads the levels.
+    window and saturation level reads the levels.
     """
     return _realized(s)[0]
 
@@ -120,6 +120,8 @@ def recovery_experiment(
     Without an explicit window, the fit is restricted to the early phase:
     years where both true curves sit below ``early_fraction`` of their
     equilibrium levels, which is where the power-law approximation holds.
+    The saturation level is the higher level/capacity of the two true curves
+    at the window's last year, read from the realization's true levels.
     A scenario that cannot be realized (a noisy level past the float range)
     is an input error, whatever the window.
     """
@@ -140,7 +142,8 @@ def recovery_experiment(
         raise WindowError(f"window {window} not fittable: {exc}") from exc
     b_theoretical = implied_exponent(s.p_old, s.p_new)
     # both curves rise with t (b > 0), so the window's last year holds the highest level
-    saturation = max(logistic_value(p, float(window[1])) / p.k for p in (s.p_old, s.p_new))
+    last = window[1] - s.years[0]
+    saturation = max(curve[last] / p.k for curve, p in zip(levels, (s.p_old, s.p_new)))
     return RecoveryReport(
         b_theoretical=b_theoretical,
         b_fitted=fit.b_exponent,

@@ -142,6 +142,14 @@ class TestReferenceConfig:
         with pytest.raises(TechCycleError, match=message):
             load_reference(path)
 
+    @pytest.mark.parametrize("pairs", [
+        "vinyl:8-track; cd:download;", "; vinyl:8-track;; cd:download ; ;",
+    ])
+    def test_empty_pair_chunks_change_nothing(self, tmp_path, pairs):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"table3_pairs = {pairs}\n")
+        assert load_reference(path).table3_pairs == (("vinyl", "8-track"), ("cd", "download"))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "1.5"])
     def test_dp_residual_max_outside_unit_interval_rejected(self, tmp_path, value):
         path = tmp_path / "r.cfg"

@@ -195,7 +195,7 @@ class TestCrossover:
         new = dataset.series["cd"]
         result = crossover_year(old, new)
         for year in range(max(old.first_year, new.first_year), result.year):
-            o, n = old.value(year), new.value(year)
+            o, n = old.points.get(year), new.points.get(year)
             if o is None or n is None or o + n <= 0:
                 continue
             assert 100.0 * o / (o + n) >= 50.0
@@ -266,7 +266,9 @@ class TestAggregateCycles:
     (lambda: events("x", 2000, None, 2005), TechCycleError, "x: end year without a peak year"),
     (lambda: aggregate_cycles([]), InsufficientDataError,
      "aggregate_cycles needs at least one summary"),
-], ids=["peak-after-end", "end-without-peak", "aggregate-no-summary"])
+    (lambda: CrossoverResult(year=2000, established_share=50.0), TechCycleError,
+     "crossover share must be below 50, got 50.0"),
+], ids=["peak-after-end", "end-without-peak", "aggregate-no-summary", "crossover-share-50"])
 def test_library_checks(call, error, message):
     with pytest.raises(TechCycleError) as exc:
         call()

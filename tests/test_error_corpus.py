@@ -180,6 +180,10 @@ CLI = {
             ("1984:1985", 3, "window 1984-1985 has 2 usable years; need >= 3"),
         )
     },
+    "config-table1_window-spec": (
+        ["cycles", "--config", "{tmp}/r.cfg"], reference("table1_window", "table1_window = 1990"),
+        2, "error: {tmp}/r.cfg: window spec '1990' must be 'Y1:Y2' or 'auto'\n",
+    ),
     "config-regime_tolerance-removed": (
         ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
         {"r.cfg": REFERENCE + "regime_tolerance = 0.05\n"}, 2,

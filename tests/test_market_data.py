@@ -83,6 +83,15 @@ class TestParse:
         with pytest.raises(TechCycleError, match=r"\(2000, 'CD'\)"):
             parse_revenue_table(HEADER + "\n2000,CD,1.0,,\n2000,CD,2.0,,\n")
 
+    def test_blank_rows_are_skipped_and_still_numbered(self):
+        rows = ["2000,CD,1.0,,", "2001,CD,2.0,,"]
+        padded = "\n".join([HEADER, "", rows[0], ",,,,", rows[1], " , ,, , "]) + "\n"
+        assert parse_revenue_table(padded) == parse_revenue_table(csv_text(
+            [RevenueRecord(2000, "CD", 1.0), RevenueRecord(2001, "CD", 2.0)]))
+        # the two skipped rows still count: the duplicate is the sixth physical row
+        with pytest.raises(TechCycleError, match=r"^row 6: duplicate entry for \(2001, 'CD'\)$"):
+            parse_revenue_table(padded + "2001,CD,3.0,,\n")
+
     def test_wrong_header_rejected(self):
         with pytest.raises(TechCycleError, match="header"):
             parse_revenue_table("a,b,c\n1,2,3\n")
@@ -186,7 +195,7 @@ class TestAdjustInflation:
         adjusted = adjust_inflation(records, self.cpi)
         series = aggregate_group(adjusted, group)
         direct = (120.0 + 80.0) * self.cpi.deflator(1999)
-        assert series.value(1999) == pytest.approx(direct, rel=1e-9)
+        assert series.points[1999] == pytest.approx(direct, rel=1e-9)
 
 
 class TestAggregateGroup:
@@ -210,7 +219,7 @@ class TestAggregateGroup:
         records = self.adjusted([(2000, "CD", 1.0), (2002, "CD", 2.0)])
         group = TechnologyGroup(name="cd", formats=("CD",))
         series = aggregate_group(records, group)
-        assert series.value(2001) is None
+        assert series.points.get(2001) is None
         assert series.gap_years == (2001,)
 
     def test_empty_group_rejected(self):
@@ -228,7 +237,7 @@ class TestAggregateGroup:
 
     def test_bundled_streaming_2015(self, dataset):
         # Five streaming modes summed: the year streaming overtook CD.
-        assert dataset.series["streaming"].value(2015) == pytest.approx(2400, rel=0.03)
+        assert dataset.series["streaming"].points[2015] == pytest.approx(2400, rel=0.03)
 
 
 class TestPositiveOverlapWindow:
@@ -291,7 +300,7 @@ class TestSeriesValidation:
 
     def test_points_sorted_and_immutable(self):
         series = make_series({2002: 1.0, 2000: 2.0, 2001: 3.0})
-        assert series.years == (2000, 2001, 2002)
+        assert tuple(series.points) == (2000, 2001, 2002)
         with pytest.raises(TypeError):
             series.points[2003] = 4.0
 

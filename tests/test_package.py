@@ -1,6 +1,7 @@
 """The package root, which defines no analysis name, so importing one
 submodule loads only what that one needs; the few places that catch the
-package's own errors; and the one place the CLI prints."""
+package's own errors; the one place the CLI prints; and the one way a
+config reader names its file."""
 
 import ast
 import subprocess
@@ -73,3 +74,14 @@ def test_cli_output_leaves_through_main_only():
     assert len(handlers) == 6
     for node in handlers:
         assert not _calls(node) & {"write_text", "write_bytes", "mkdir", "open"}, node.name
+
+
+def test_config_messages_leave_the_file_name_to_located():
+    # each reader wraps its checks in located(path), which prefixes the file;
+    # a message that wrote path itself would name the file twice
+    tree = ast.parse((Path(techcycle.__file__).parent / "config.py").read_text())
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    assert raises
+    assert [node.lineno for node in raises
+            if any(isinstance(name, ast.Name) and name.id == "path"
+                   for name in ast.walk(node.exc))] == []

@@ -49,8 +49,8 @@ class TestGenerateScenario:
         s = scenario(noise=0.0)
         old, new = generate_scenario(s)
         for t in range(s.years[0], s.years[1] + 1):
-            assert old.value(t) == logistic_value(s.p_old, float(t))
-            assert new.value(t) == logistic_value(s.p_new, float(t))
+            assert old.points[t] == logistic_value(s.p_old, float(t))
+            assert new.points[t] == logistic_value(s.p_new, float(t))
         assert not draws
 
     def test_same_seed_is_bit_identical(self):
@@ -222,7 +222,7 @@ class TestRealizedOnce:
 
     def test_early_windows_read_the_realized_levels(self, monkeypatch):
         # Each curve is evaluated once per year when the scenario is realized;
-        # after that a report evaluates only the two saturation levels.
+        # after that no report evaluates a curve, not even for its saturation level.
         calls = 0
 
         def counted(p, t):
@@ -235,7 +235,7 @@ class TestRealizedOnce:
         s = swept_scenario()
         sweep(s)
         years = s.years[1] - s.years[0] + 1
-        assert calls == 2 * years + 2 * 5
+        assert calls == 2 * years
 
     def test_equal_distinct_scenarios_give_equal_results(self):
         first, second = swept_scenario(), swept_scenario()
