@@ -5,9 +5,10 @@ handlers (argparse usage errors exit 2 before them), at least one input per
 kind of fault the package reports, the unknown-technology path and the
 pair with no comparable year.  Each case writes its files under a temporary
 directory, runs ``main()`` in-process and compares the exit code and the
-whole of stderr; ``{tmp}`` and ``{data}`` in the pinned text stand for that
-directory and the bundled data directory.  A change to any message or exit
-code here is a change to the CLI's contract, and says so in CHANGES.md.
+whole of stderr; a case that fails must also leave stdout empty.  ``{tmp}``
+and ``{data}`` in the pinned text stand for that directory and the bundled
+data directory.  A change to any message or exit code here is a change to
+the CLI's contract, and says so in CHANGES.md.
 
 Two faults cannot be reached from the command line, so they are pinned as
 library calls with the exit code ``main`` gives their exception: a zero-length
@@ -435,8 +436,10 @@ def test_cli_error_output(case, tmp_path, capsys):
         else:
             path.write_text(content)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.replace(str(tmp_path), "{tmp}").replace(str(DATA), "{data}") == stderr
+    if code != 0:
+        assert out == ""
 
 
 @pytest.mark.parametrize("case", sorted(LIBRARY))
