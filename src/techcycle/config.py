@@ -190,10 +190,11 @@ def load_reference(path: str | Path) -> ReferenceConfig:
                 target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
             else:
                 raise TechCycleError(f"unknown key {key!r}")
-            try:
-                target[name] = parse(value)
-            except ValueError as exc:
-                raise TechCycleError(f"{key}: {exc}") from None
+            with located(key):
+                try:
+                    target[name] = parse(value)
+                except ValueError as exc:
+                    raise TechCycleError(str(exc)) from None
         ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
         for table, old, new in (("table1", ref.table1_old, ref.table1_new),
                                 ("table2", ref.table2_old, ref.table2_new)):

@@ -75,8 +75,6 @@ def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
 
     df = n - 2
     sse = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    # Guard tiny negative round-off from the subtraction above.
-    sse = max(sse, 0.0)
     s2 = sse / df
     se_estimate = math.sqrt(s2)
     se_slope = math.sqrt(s2 / sxx)
@@ -86,7 +84,7 @@ def ols_simple(xs: list[float], ys: list[float]) -> OlsFit:
         r2 = 1.0 - sse / syy
     else:
         r2 = 1.0  # constant response reproduced exactly by the fit
-    r2 = min(max(r2, 0.0), 1.0)
+    r2 = max(r2, 0.0)
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df
 
     t_slope = slope / se_slope if se_slope > 0.0 else math.copysign(math.inf, slope or 1.0)

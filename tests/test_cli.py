@@ -145,26 +145,6 @@ class TestValidate:
             "note: formats in no group: Stray\nok\n"
         )
 
-    def test_broken_dataset_exits_2(self, tmp_path, capsys):
-        (tmp_path / "bad.csv").write_text("year,format\n")
-        code, _, err = run_cli(
-            "validate", "--data", str(tmp_path / "bad.csv"), capsys=capsys
-        )
-        assert code == 2
-        assert "header" in err
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-    @pytest.mark.parametrize("column", ["revenue_nominal_musd", "revenue_real_musd", "units_m"])
-    def test_non_finite_number_exits_2(self, tiny_dataset, capsys, column, cell):
-        row = {"revenue_nominal_musd": "10.0", "revenue_real_musd": "", "units_m": "", column: cell}
-        (tiny_dataset / "data.csv").write_text(
-            "year,format," + ",".join(row) + "\n2000,Old," + ",".join(row.values()) + "\n"
-        )
-        code, _, err = run_cli("validate", *data_flags(tiny_dataset), capsys=capsys)
-        assert code == 2
-        assert f"{column} must be a finite number" in err
-        assert "Traceback" not in err
-
     def test_utf8_bom_inputs_accepted(self, data_dir, tmp_path, capsys):
         for name in ("riaa_revenue.csv", "cpi.csv", "groups.cfg"):
             (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
@@ -174,35 +154,6 @@ class TestValidate:
                       "--groups", str(tmp_path / "groups.cfg"), capsys=capsys)
         assert bom == plain
         assert bom[0] == 0
-
-    @pytest.mark.parametrize("name, argv", [
-        ("riaa_revenue.csv", ["validate", "--data"]),
-        ("cpi.csv", ["validate", "--cpi"]),
-        ("reference.cfg", ["cycles", "--config"]),
-        ("scenarios/dual_logistic_demo.cfg", ["simulate", "--scenario"]),
-    ])
-    def test_non_utf8_input_exits_2(self, data_dir, tmp_path, capsys, name, argv):
-        text = (data_dir / name).read_bytes()
-        path = tmp_path / "input"
-        path.write_bytes(text[:40] + b"\xff" + text[40:])
-        code, _, err = run_cli(*argv, str(path), capsys=capsys)
-        assert (code, err) == (2, f"error: {path}: byte 40 (0xff) is not UTF-8\n")
-
-    @pytest.mark.parametrize("flag", ["--data", "--cpi"])
-    def test_oversized_csv_field_exits_2(self, data_dir, tmp_path, capsys, flag):
-        name = "riaa_revenue.csv" if flag == "--data" else "cpi.csv"
-        path = tmp_path / name
-        path.write_text((data_dir / name).read_text() + "2000," + "9" * 200_000 + "\n")
-        code, _, err = run_cli("validate", flag, str(path), capsys=capsys)
-        assert code == 2
-        assert "field larger than field limit" in err and err.count("\n") == 1
-
-    def test_revenue_csv_error_starts_with_the_path(self, data_dir, tmp_path, capsys):
-        path = tmp_path / "riaa_revenue.csv"
-        path.write_text((data_dir / "riaa_revenue.csv").read_text() + "2000,CD,-,,\n")
-        code, _, err = run_cli("validate", "--data", str(path), capsys=capsys)
-        assert code == 2
-        assert err.startswith(f"error: {path}: row ") and err.count("\n") == 1
 
 
 class TestFit:
@@ -231,18 +182,6 @@ class TestFit:
         assert "R2 = 1.00" in out
         assert "F = inf" in out
 
-    @pytest.mark.parametrize("command", ["fit", "crossover"])
-    @pytest.mark.parametrize("new", ["cd", " cd", "cd+"])
-    def test_self_pair_exits_2(self, capsys, command, new):
-        code, out, err = run_cli(command, "--old", "cd", "--new", new, capsys=capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: --old and --new both name 'cd'\n"
-
-    def test_unknown_technology_lists_names(self, capsys):
-        code, _, err = run_cli("fit", "--old", "betamax", "--new", "cd", capsys=capsys)
-        assert code == 2
-        assert "betamax" in err and "cassette" in err
-
     def test_label_is_spelled_from_the_series(self, capsys):
         code, out, _ = run_cli("fit", "--old", "cassette", "--new", "cd\n", "--format", "csv",
                                capsys=capsys)
@@ -250,13 +189,6 @@ class TestFit:
         lines = [line for line in out.splitlines() if line]
         assert all(len(cells) == 2 for cells in csv.reader(lines))
         assert "pair,cd vs cassette" in lines
-
-    def test_insufficient_window_exits_3(self, capsys):
-        code, _, err = run_cli(
-            "fit", "--old", "cassette", "--new", "cd", "--window", "1990:1991",
-            capsys=capsys,
-        )
-        assert code == 3
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -294,25 +226,6 @@ class TestStandardJson:
         assert sorted(tables) == ["table1", "table2", "table3", "table4"]
         assert tables["table1"]["exponent_t"] is None
         assert tables["table2"]["f_stat"] is None
-
-
-@pytest.mark.parametrize("command, line, message", [
-    ("cycles", "end_threshold_rel = nan", "end_threshold_rel: nan is not in (0, 1)"),
-    ("cycles", "end_threshold_rel = 1", "end_threshold_rel: 1.0 is not in (0, 1)"),
-    ("cycles", "a_override.cassette = -5000", "a_override.cassette: -5000 is not in [1900, 2100]"),
-    ("report", "table3_pairs = cd:cd", "table3_pairs: pair 'cd:cd' pairs a technology with itself"),
-])
-def test_config_value_out_of_domain_exits_2(data_dir, tmp_path, capsys, command, line, message):
-    key = line.split()[0]
-    path = tmp_path / "r.cfg"
-    path.write_text("".join(
-        f"{line}\n" if old.startswith(f"{key} =") else f"{old}\n"
-        for old in (data_dir / "reference.cfg").read_text().splitlines()
-    ))
-    out_flag = ["--out", str(tmp_path / "out")] if command == "report" else []
-    code, out, err = run_cli(command, "--config", str(path), *out_flag, capsys=capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,15 +337,6 @@ class TestCrossover:
         assert code == 0
         assert "disruption period: 7 years (peak 2012, end 2019*)" in out
 
-    def test_nan_dp_residual_max_exits_2(self, data_dir, tmp_path, capsys):
-        path = tmp_path / "r.cfg"
-        path.write_text((data_dir / "reference.cfg").read_text().replace(
-            "dp_residual_max = 0.10", "dp_residual_max = nan"))
-        code, out, err = run_cli("crossover", "--old", "download", "--new", "streaming",
-                                 "--config", str(path), capsys=capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {path}: dp_residual_max: nan is not in [0, 1]\n"
-
     def test_end_threshold_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["crossover", "--old", "cd", "--new", "download", "--end-threshold", "0.1"])
@@ -543,15 +447,6 @@ class TestSimulate:
             results.append((out_dir / "disruptive.csv").read_bytes())
         assert results[0] != results[1]
 
-    @pytest.mark.parametrize("window", ["5000:5010", "35:45"])
-    def test_window_outside_the_scenario_exits_3(self, data_dir, capsys, window):
-        code, out, err = run_cli(
-            "simulate", "--scenario", str(data_dir / "scenarios" / "dual_logistic_demo.cfg"),
-            "--window", window, capsys=capsys,
-        )
-        assert (code, out) == (3, "")
-        assert "not fittable" in err and err.count("\n") == 1
-
     @pytest.mark.parametrize("flag", ["7", str((1 << 64) + 7)])
     def test_seed_flag_matches_seed_in_file(self, data_dir, tmp_path, capsys, flag):
         demo_path = data_dir / "scenarios" / "dual_logistic_demo.cfg"
@@ -566,27 +461,11 @@ class TestSimulate:
         assert from_flag == from_file
         assert json.loads(from_flag[1])["seed"] == 7
 
-    def test_bad_scenario_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text("k1 = 1000\n")
-        code, _, err = run_cli("simulate", "--scenario", str(cfg), capsys=capsys)
-        assert code == 2
-
-    def test_huge_year_range_exits_2(self, data_dir, tmp_path, capsys):
-        demo = (data_dir / "scenarios" / "dual_logistic_demo.cfg").read_text()
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(demo.replace("year_end = 40", "year_end = 100000000"))
-        code, _, err = run_cli("simulate", "--scenario", str(cfg),
-                               "--out", str(tmp_path / "out"), capsys=capsys)
-        assert code == 2
-        assert "at most 10000" in err
-        assert "Traceback" not in err
-
 
 @pytest.mark.parametrize("argv", [["report", "--out", "{tmp}"], ["cycles"],
                                   ["crossover", "--old", "8-track", "--new", "cassette"]])
 def test_each_technology_events_detected_once(argv, tmp_path, monkeypatch, capsys):
-    from techcycle import cli, cycle, report
+    from techcycle import cycle, report
 
     detected = []
 
@@ -594,8 +473,7 @@ def test_each_technology_events_detected_once(argv, tmp_path, monkeypatch, capsy
         detected.append(series.technology)
         return cycle.detect_events(series, *args, **kwargs)
 
-    for module in (cli, report):  # both import the name
-        monkeypatch.setattr(module, "detect_events", counting)
+    monkeypatch.setattr(report, "detect_events", counting)  # the one module that calls it
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     assert sorted(detected) == ["8-track", "cassette", "cd", "download", "streaming", "vinyl"]
 

@@ -135,6 +135,8 @@ class TestReferenceConfig:
         ("table3_pairs = cd", "table3_pairs: pair 'cd' must be 'established:disruptive'"),
         ("table3_pairs = vinyl:8-track; cd: cd ",
          "table3_pairs: pair 'cd: cd' pairs a technology with itself"),
+        ("table1_window = 1990", "table1_window: window spec '1990' must be 'Y1:Y2' or 'auto'"),
+        ("table2_window = 2004:x", "table2_window: window spec '2004:x' has non-integer years"),
     ])
     def test_malformed_value_names_the_key(self, tmp_path, line, message):
         path = tmp_path / "r.cfg"

@@ -1,9 +1,10 @@
 """Pinned (exit code, stderr) of the CLI on a fixed corpus of bad inputs.
 
-The corpus holds every error case of ``test_cli`` that reaches ``main``'s
-handlers (argparse usage errors exit 2 before them), at least one input per
-kind of fault the package reports, the unknown-technology path and the
-pair with no comparable year.  Each case writes its files under a temporary
+The corpus is the one place that states the exit code and the whole of
+stderr of each CLI error that reaches ``main``'s handlers (argparse usage
+errors exit 2 before them).  It holds at least one input per kind of fault
+the package reports, the unknown-technology path and the pair with no
+comparable year.  Each case writes its files under a temporary
 directory, runs ``main()`` in-process and compares the exit code and the
 whole of stderr; a case that fails must also leave stdout empty.  ``{tmp}``
 and ``{data}`` in the pinned text stand for that directory and the bundled
@@ -68,7 +69,7 @@ EXTRA = {"cycles": [], "report": ["--out", "{tmp}/out"],
 
 # id -> (argv, files to write under {tmp}, exit code, stderr)
 CLI = {
-    # test_cli error cases
+    # malformed files, config values, scenarios and flag values
     "broken-header": (
         ["validate", "--data", "{tmp}/bad.csv"], {"bad.csv": "year,format\n"}, 2,
         "error: {tmp}/bad.csv: unexpected header ['year', 'format']; "
@@ -183,7 +184,7 @@ CLI = {
     },
     "config-table1_window-spec": (
         ["cycles", "--config", "{tmp}/r.cfg"], reference("table1_window", "table1_window = 1990"),
-        2, "error: {tmp}/r.cfg: window spec '1990' must be 'Y1:Y2' or 'auto'\n",
+        2, "error: {tmp}/r.cfg: table1_window: window spec '1990' must be 'Y1:Y2' or 'auto'\n",
     ),
     "config-regime_tolerance-removed": (
         ["report", "--config", "{tmp}/r.cfg", "--out", "{tmp}/out"],
