@@ -2,8 +2,8 @@
 
 All config files share one flat key-value syntax: ``name = value`` lines,
 ``#`` comments, blank lines ignored.  Group files interpret the value as a
-semicolon-separated format list; scenario and reference files interpret
-keys individually.
+semicolon-separated format list; scenario and reference files read each
+key's value with its parser, through ``parse_keys``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ._record import frozen
 from .errors import TechCycleError, located
@@ -163,12 +163,37 @@ def _parse_year(value: str) -> int:
     return year
 
 
-# Parsers of the keys whose value is not read as the type of their default.
+# Each key's parser: the type of its default, unless the default does not say it.
 _PARSERS = {
+    **{key: type(getattr(ReferenceConfig, key)) for key in ReferenceConfig.__annotations__
+       if key != "a_overrides"},
     "table1_window": parse_window_spec,
     "table2_window": parse_window_spec,
     "table3_pairs": _parse_pairs,
+    "a_override.": _parse_year,
 }
+
+
+def parse_keys(values: Mapping[str, str], parsers: Mapping[str, Callable[[str], object]]) -> dict:
+    """Parse each value with its key's parser, in file order, naming the key of
+    a fault; a key with no parser is unknown.  A ``<prefix>.<name>`` key takes
+    the parser of ``<prefix>.``, its name follows the group-name rule, and its
+    value is gathered by name in a dict under ``<prefix>``."""
+    parsed: dict = {}
+    for key, value in values.items():
+        prefix, dot, name = key.partition(".")
+        parse = parsers.get(prefix + dot)
+        if parse is None:
+            raise TechCycleError(f"unknown key {key!r}")
+        if dot and not _NAME.fullmatch(name):
+            raise TechCycleError(f"{key}: name {name!r} {_NAME_RULE}")
+        target, name = (parsed.setdefault(prefix, {}), name) if dot else (parsed, key)
+        with located(key):
+            try:
+                target[name] = parse(value)
+            except ValueError as exc:
+                raise TechCycleError(str(exc)) from None
+    return parsed
 
 
 def load_reference(path: str | Path) -> ReferenceConfig:
@@ -177,25 +202,10 @@ def load_reference(path: str | Path) -> ReferenceConfig:
     keep the class defaults; unknown keys and invalid group names are errors.
     """
     values = read_kv_file(path)
-    defaults = ReferenceConfig()
-    fields: dict = {}
-    a_overrides: dict[str, int] = {}
     with located(path):
-        for key, value in values.items():
-            if key.startswith("a_override."):
-                target, name, parse = a_overrides, key[len("a_override."):], _parse_year
-                if not _NAME.fullmatch(name):
-                    raise TechCycleError(f"{key}: name {name!r} {_NAME_RULE}")
-            elif key in ReferenceConfig.__annotations__ and key != "a_overrides":
-                target, name, parse = fields, key, _PARSERS.get(key, type(getattr(defaults, key)))
-            else:
-                raise TechCycleError(f"unknown key {key!r}")
-            with located(key):
-                try:
-                    target[name] = parse(value)
-                except ValueError as exc:
-                    raise TechCycleError(str(exc)) from None
-        ref = ReferenceConfig(**fields, a_overrides=MappingProxyType(a_overrides))
+        fields = parse_keys(values, _PARSERS)
+        a_overrides = MappingProxyType(fields.pop("a_override", {}))
+        ref = ReferenceConfig(**fields, a_overrides=a_overrides)
         for table, old, new in (("table1", ref.table1_old, ref.table1_new),
                                 ("table2", ref.table2_old, ref.table2_new)):
             if shared := shared_technology(old, new):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 
 from ._record import frozen
+from .config import parse_keys
 from .errors import TechCycleError, WindowError
 from .growth import LogisticParams, fit_substitution, implied_exponent, logistic_value
 from .market_data import RevenueSeries
@@ -19,7 +20,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MAX_YEARS = 10_000
 _MAX_ABS_YEAR = 10**6
-_SCENARIO_KEYS = {"k1", "a1", "b1", "k2", "a2", "b2", "year_start", "year_end", "noise_rel", "seed"}
+# Each scenario key and its type: k1, a1, b1 give the established curve, k2, a2,
+# b2 the disruptive one; every key but noise_rel and seed (default 0) is required.
+_SCENARIO_KEYS = {"k1": float, "a1": float, "b1": float, "k2": float, "a2": float, "b2": float,
+                  "year_start": int, "year_end": int, "noise_rel": float, "seed": int}
 
 
 def _splitmix64(index: int, seed: int) -> int:
@@ -172,29 +176,14 @@ def _early_window(
 
 
 def scenario_from_mapping(values: dict[str, str]) -> SyntheticScenario:
-    """Build a scenario from flat key-value config entries.
-
-    Expected keys: k1, a1, b1 (established curve), k2, a2, b2 (disruptive
-    curve), year_start, year_end, and optional noise_rel (default 0) and
-    seed (default 0).  Any other key is an error.
+    """Build a scenario from flat key-value config entries, each read as the
+    type that ``_SCENARIO_KEYS`` gives its key.  Any other key is an error.
     """
-    unknown = sorted(set(values) - _SCENARIO_KEYS)
-    if unknown:
-        raise TechCycleError(f"scenario config has unknown key {unknown[0]!r}")
-
-    def need(key: str) -> str:
-        if key not in values:
-            raise TechCycleError(f"scenario config missing key {key!r}")
-        return values[key]
-
-    try:
-        p_old = LogisticParams(k=float(need("k1")), a=float(need("a1")), b=float(need("b1")))
-        p_new = LogisticParams(k=float(need("k2")), a=float(need("a2")), b=float(need("b2")))
-        years = (int(need("year_start")), int(need("year_end")))
-        noise_rel = float(values.get("noise_rel", "0"))
-        seed = int(values.get("seed", "0"))
-    except ValueError as exc:
-        raise TechCycleError(f"scenario config has a malformed number: {exc}") from None
+    v = {"noise_rel": 0.0, "seed": 0, **parse_keys(values, _SCENARIO_KEYS)}
+    if missing := next((key for key in _SCENARIO_KEYS if key not in v), None):
+        raise TechCycleError(f"scenario config missing key {missing!r}")
     return SyntheticScenario(
-        p_old=p_old, p_new=p_new, years=years, noise_rel=noise_rel, seed=seed
+        p_old=LogisticParams(k=v["k1"], a=v["a1"], b=v["b1"]),
+        p_new=LogisticParams(k=v["k2"], a=v["a2"], b=v["b2"]),
+        years=(v["year_start"], v["year_end"]), noise_rel=v["noise_rel"], seed=v["seed"],
     )

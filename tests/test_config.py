@@ -8,6 +8,7 @@ from techcycle.config import (
     load_cpi_csv,
     load_reference,
     load_revenue_csv,
+    parse_keys,
     parse_window_spec,
     read_kv_file,
 )
@@ -102,6 +103,31 @@ class TestWindowSpec:
         fault = {"1984": "must be 'Y1:Y2'", "a:b": "non-integer", "1990:1984": "reversed"}[bad]
         with pytest.raises(TechCycleError, match=fault):
             parse_window_spec(bad)
+
+
+NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"
+
+
+class TestParseKeys:
+    PARSERS = {"n": int, "year.": int}
+
+    def test_prefix_keys_are_gathered_by_name(self):
+        values = {"year.cd": "2", "n": "1", "year.lp": "3"}
+        assert parse_keys(values, self.PARSERS) == {"n": 1, "year": {"cd": 2, "lp": 3}}
+
+    @pytest.mark.parametrize("values, message", [
+        ({"n": "1", "m": "1", "b": "1"}, "unknown key 'm'"),
+        ({"n": "x", "m": "1"}, "n: invalid literal for int() with base 10: 'x'"),
+        ({"year": "1"}, "unknown key 'year'"),
+        ({"n.x": "1"}, "unknown key 'n.x'"),
+        ({"year.c+d": "1"}, f"year.c+d: name 'c+d' {NAME_RULE}"),
+        ({"year.": "1"}, f"year.: name '' {NAME_RULE}"),
+        ({"year.cd": "x"}, "year.cd: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_the_first_fault_in_file_order_names_its_key(self, values, message):
+        with pytest.raises(TechCycleError) as exc:
+            parse_keys(values, self.PARSERS)
+        assert str(exc.value) == message
 
 
 class TestReferenceConfig:

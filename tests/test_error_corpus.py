@@ -210,8 +210,12 @@ CLI = {
         ["simulate", "--scenario", "{tmp}/s.cfg"],
         {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text()
          .replace("k1 = 1000", "k1 = 1e3x")}, 2,
-        "error: {tmp}/s.cfg: scenario config has a malformed number: could not convert string "
-        "to float: '1e3x'\n",
+        "error: {tmp}/s.cfg: k1: could not convert string to float: '1e3x'\n",
+    ),
+    "scenario-unknown-key": (
+        ["simulate", "--scenario", "{tmp}/s.cfg"],
+        {"s.cfg": (DATA / "scenarios" / "dual_logistic_demo.cfg").read_text() + "noise = 0.05\n"},
+        2, "error: {tmp}/s.cfg: unknown key 'noise'\n",
     ),
     "scenario-huge-range": (
         ["simulate", "--scenario", "{tmp}/s.cfg", "--out", "{tmp}/out"],

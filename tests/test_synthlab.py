@@ -282,15 +282,23 @@ class TestSaturationLevel:
 
 
 class TestScenarioConfig:
+    VALUES = {
+        "k1": "1000", "a1": "6", "b1": "0.3",
+        "k2": "2500", "a2": "9", "b2": "0.6",
+        "year_start": "0", "year_end": "40",
+        "noise_rel": "0.1", "seed": "42",
+    }
+
     def test_from_mapping(self):
-        s = scenario_from_mapping({
-            "k1": "1000", "a1": "6", "b1": "0.3",
-            "k2": "2500", "a2": "9", "b2": "0.6",
-            "year_start": "0", "year_end": "40",
-            "noise_rel": "0.1", "seed": "42",
-        })
+        s = scenario_from_mapping(self.VALUES)
         assert s.p_old.k == 1000.0 and s.p_new.b == 0.6
         assert s.years == (0, 40) and s.seed == 42
+
+    @pytest.mark.parametrize("key", list(VALUES))
+    def test_malformed_value_names_its_key(self, key):
+        with pytest.raises(TechCycleError) as exc:
+            scenario_from_mapping({**self.VALUES, key: "x"})
+        assert str(exc.value).startswith(f"{key}: ")
 
     def test_missing_key_named(self):
         with pytest.raises(TechCycleError, match="b2"):
@@ -299,10 +307,13 @@ class TestScenarioConfig:
                                    "year_start": "0", "year_end": "10"})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(TechCycleError, match="unknown key 'noise'"):
+        # the first unknown key in file order, not in alphabetical order
+        with pytest.raises(TechCycleError) as exc:
             scenario_from_mapping({"k1": "1", "a1": "0", "b1": "1",
                                    "k2": "1", "a2": "0", "b2": "1",
-                                   "year_start": "0", "year_end": "10", "noise": "0.05"})
+                                   "year_start": "0", "year_end": "10",
+                                   "noise": "0.05", "drift": "1"})
+        assert str(exc.value) == "unknown key 'noise'"
 
     def test_bundled_demo_scenario(self, data_dir):
         from techcycle.config import read_kv_file
