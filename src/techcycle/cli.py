@@ -2,13 +2,13 @@
 
 Subcommands: validate, fit, cycles, crossover, simulate, report.  Inputs are
 named only by their flags (--data, --cpi, --groups, --config, --scenario),
-each defaulting to its bundled file.  Every table quantity and output byte
-comes from report.py: `cycles` prints Table 4 and `crossover` one Table 3
-row, under the reference config (--config) that `report` reads.  Each
-handler returns its rendered text, `main` prints it once, and report.py
-writes every file.  Exit codes: 0 success (including benign empty results
-and a reader that closed stdout early), 2 input error, 3 insufficient data
-for the requested estimate.
+each defaulting to its bundled file.  Every table quantity comes from
+report.py, which renders `fit`, `cycles`, `crossover` and `simulate` output
+(Table 4 and one Table 3 row under the --config that `report` reads) and
+writes every file; `validate`'s lines and `report`'s summary lines are built
+here.  Each handler returns its text and `main` prints it once.  Exit codes:
+0 success (including benign empty results and a reader that closed stdout
+early), 2 input error, 3 insufficient data for the requested estimate.
 """
 
 from __future__ import annotations

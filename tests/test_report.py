@@ -1,4 +1,3 @@
-import json
 import math
 import statistics
 
@@ -12,7 +11,6 @@ from techcycle.report import (
     build_report,
     cycle_events,
     cycle_table,
-    fit_to_mapping,
     load_dataset,
     mapping_to_csv,
     pair_to_mapping,
@@ -104,11 +102,6 @@ def test_write_report_unknown_format_creates_nothing(market, dataset, tmp_path):
 
 
 class TestFitRendering:
-    def test_mapping_round_trips_through_json(self, market):
-        payload = json.loads(json.dumps(fit_to_mapping(market.table2)))
-        assert payload["regime"] == "NegativeCoupling"
-        assert payload["n"] == 15
-
     def test_exact_fit_renders_infinite_f(self):
         same = RevenueSeries(technology="t", base_year=2018,
                              points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
@@ -116,10 +109,6 @@ class TestFitRendering:
         text = render_fit_text(fit)
         assert "F = inf" in text
         assert math.isinf(fit.fit.f_stat)
-
-    def test_labels_present(self, market):
-        assert market.table1.label == "cd vs cassette"
-        assert market.table2.label == "streaming vs cd"
 
 
 class TestRenderedBytes:
