@@ -98,12 +98,6 @@ class TestWindowSpec:
     def test_auto(self):
         assert parse_window_spec("auto") is None
 
-    @pytest.mark.parametrize("bad", ["1984", "a:b", "1990:1984"])
-    def test_rejects_malformed(self, bad):
-        fault = {"1984": "must be 'Y1:Y2'", "a:b": "non-integer", "1990:1984": "reversed"}[bad]
-        with pytest.raises(TechCycleError, match=fault):
-            parse_window_spec(bad)
-
 
 NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"
 

@@ -1,30 +1,56 @@
-"""Pinned (exit code, stderr) of the CLI on a fixed corpus of bad inputs.
+"""Pinned errors of the package on a fixed corpus of bad inputs.
 
-The corpus is the one place that states the exit code and the whole of
-stderr of each CLI error that reaches ``main``'s handlers (argparse usage
-errors exit 2 before them).  It holds at least one input per kind of fault
-the package reports, the unknown-technology path and the pair with no
-comparable year.  Each case writes its files under a temporary
-directory, runs ``main()`` in-process and compares the exit code and the
-whole of stderr; a case that fails must also leave stdout empty.  ``{tmp}``
-and ``{data}`` in the pinned text stand for that directory and the bundled
-data directory.  A change to any message or exit code here is a change to
-the CLI's contract, and says so in CHANGES.md.
+The corpus is the one place that pins each package error.  Every ``raise``
+of a package error class in ``techcycle`` starts at least one case: in
+``CLI`` when the command line reaches it, and in ``LIBRARY`` otherwise;
+a guard test traces the corpus and fails on a site that no case starts.
 
-Two faults cannot be reached from the command line, so they are pinned as
-library calls with the exit code ``main`` gives their exception: a zero-length
-cycle, and a series with no positive revenue (rejected when the series is
-built).
+``CLI`` states the exit code and the whole of stderr of each CLI error that
+reaches ``main``'s handlers (argparse usage errors exit 2 before them), the
+unknown-technology path and the pair with no comparable year.  Each case
+writes its files under a temporary directory, runs ``main()`` in-process
+and compares the exit code and the whole of stderr; a case that fails must
+also leave stdout empty.  ``{tmp}`` and ``{data}`` in the pinned text stand
+for that directory and the bundled data directory.  A change to any message
+or exit code here is a change to the CLI's contract, and says so in
+CHANGES.md.
+
+``LIBRARY`` states the exact exception class and the whole message of a
+library call; ``main`` gives each class its exit code, as
+``test_error_class_maps_to_its_exit_code`` checks.
 """
+
+import ast
+import math
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from techcycle import cli, errors
 from techcycle.cli import main
 from techcycle.config import default_data_dir
-from techcycle.cycle import CycleEvents, cycle_metrics
-from techcycle.errors import InsufficientDataError, TechCycleError
-from techcycle.market_data import RevenueSeries
+from techcycle.cycle import (
+    CrossoverResult,
+    CycleEvents,
+    aggregate_cycles,
+    cycle_metrics,
+    detect_events,
+)
+from techcycle.errors import InsufficientDataError, TechCycleError, WindowError
+from techcycle.growth import LogisticParams, fit_logistic, fit_substitution
+from techcycle.market_data import (
+    CpiTable,
+    RevenueRecord,
+    RevenueSeries,
+    TechnologyGroup,
+    aggregate_group,
+    merge_series,
+)
+from techcycle.regress import ols_simple, t_p_value
+from techcycle.report import render
+from techcycle.synthlab import SyntheticScenario, recovery_experiment
 
 DATA = default_data_dir()
 SCENARIO = str(DATA / "scenarios" / "dual_logistic_demo.cfg")
@@ -70,6 +96,10 @@ EXTRA = {"cycles": [], "report": ["--out", "{tmp}/out"],
 # id -> (argv, files to write under {tmp}, exit code, stderr)
 CLI = {
     # malformed files, config values, scenarios and flag values
+    "empty-data": (
+        ["validate", "--data", "{tmp}/empty.csv"], {"empty.csv": ""}, 2,
+        "error: {tmp}/empty.csv: empty input: missing header row\n",
+    ),
     "broken-header": (
         ["validate", "--data", "{tmp}/bad.csv"], {"bad.csv": "year,format\n"}, 2,
         "error: {tmp}/bad.csv: unexpected header ['year', 'format']; "
@@ -193,13 +223,15 @@ CLI = {
     ),
     **{
         f"simulate-window-{window}": (
-            ["simulate", "--scenario", SCENARIO, "--window", window], {}, 3, message,
+            ["simulate", "--scenario", SCENARIO, f"--window={window}"], {}, 3, message,
         )
         for window, message in (
             ("5000:5010", "error: window (5000, 5010) not fittable: established: value for "
                           "5000 is absent or non-positive inside window 5000-5010\n"),
             ("35:45", "error: window (35, 45) not fittable: established: value for 41 "
                       "is absent or non-positive inside window 35-45\n"),
+            ("-5:5", "error: window (-5, 5) not fittable: established: value for -5 "
+                     "is absent or non-positive inside window -5-5\n"),
         )
     },
     "scenario-missing-key": (
@@ -371,6 +403,10 @@ CLI = {
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1984"], {}, 2,
         "error: window spec '1990:1984' is reversed\n",
     ),
+    "non-integer-window": (
+        ["fit", "--old", "cassette", "--new", "cd", "--window", "a:b"], {}, 2,
+        "error: window spec 'a:b' has non-integer years\n",
+    ),
     "no-overlap": (
         ["fit", *TINY, "--old", "old", "--new", "new"],
         tiny("2000,Old,10.0,,\n2001,Old,10.0,,\n2002,New,1.0,,\n"), 3,
@@ -414,33 +450,141 @@ CLI = {
 }
 
 
-def _events(m_year, z_year):
-    return CycleEvents(technology="x", a_year=2000, m_year=m_year, z_year=z_year)
+def _events(a_year, m_year, z_year):
+    return CycleEvents(technology="x", a_year=a_year, m_year=m_year, z_year=z_year)
 
 
-# id -> (call, exit code main gives its exception, message)
+def _series(points, technology="x"):
+    return RevenueSeries(technology=technology, base_year=2018, points=points)
+
+
+# the bundled demo scenario's curves, and a curve near saturation from year 0
+OLD, NEW = LogisticParams(k=1000.0, a=6.0, b=0.3), LogisticParams(k=2500.0, a=9.0, b=0.6)
+SATURATED = LogisticParams(k=1000.0, a=-5.0, b=0.5)
+
+# id -> (call, exception class, message)
 LIBRARY = {
-    "zero-length-cycle": (
-        lambda: cycle_metrics(_events(2000, 2000)), 2,
-        "x: zero-length cycle, wave shares undefined",
-    ),
+    # records, series, groups and CPI tables built by a caller
+    "record-no-revenue": (
+        lambda: RevenueRecord(year=2000, format="CD"), TechCycleError,
+        "2000 'CD': at least one revenue column required"),
+    "record-negative-real": (
+        lambda: RevenueRecord(year=2000, format="CD", revenue_real=-1.0), TechCycleError,
+        "2000 'CD': revenue_real must be >= 0"),
+    "series-no-points": (lambda: _series({}), TechCycleError, "x: series has no observations"),
+    "series-nan": (
+        lambda: _series({2000: math.nan, 2001: 1.0}), TechCycleError,
+        "x: value for 2000 is not finite"),
+    "series-negative": (
+        lambda: _series({2000: -1.0}), TechCycleError, "x: value for 2000 must be >= 0"),
     "no-positive-revenue": (
-        lambda: RevenueSeries(technology="x", base_year=2018, points={2000: 0.0}), 2,
-        "x: series needs at least one positive value",
-    ),
+        lambda: _series({2000: 0.0}), TechCycleError,
+        "x: series needs at least one positive value"),
+    "group-no-formats": (
+        lambda: TechnologyGroup("cd", ()), TechCycleError, "group 'cd' has no formats"),
+    "cpi-index-zero": (
+        lambda: CpiTable(entries={2018: 0.0}), TechCycleError,
+        "CPI index for 2018 must be positive"),
+    "aggregate-undeflated": (
+        lambda: aggregate_group([RevenueRecord(2000, "CD", revenue_nominal=1.0)],
+                                TechnologyGroup("cd", ("CD",))), TechCycleError,
+        "2000 'CD': missing real revenue; run adjust_inflation first"),
+    "merge-nothing": (
+        lambda: merge_series("cd+download", []), TechCycleError,
+        "merge_series needs at least one series"),
+    # cycle events and statistics
+    "events-out-of-order": (
+        lambda: _events(2005, 2001, 2010), TechCycleError, "x: begin 2005 after peak 2001"),
+    "peak-after-end": (
+        lambda: _events(2000, 2010, 2005), TechCycleError, "x: peak 2010 after end 2005"),
+    "end-without-peak": (
+        lambda: _events(2000, None, 2005), TechCycleError, "x: end year without a peak year"),
+    "zero-length-cycle": (
+        lambda: cycle_metrics(_events(2000, 2000, 2000)), TechCycleError,
+        "x: zero-length cycle, wave shares undefined"),
+    "end-threshold-0": (
+        lambda: detect_events(_series({2000: 1.0}), end_threshold_rel=0.0), TechCycleError,
+        "end threshold must be in (0, 1), got 0.0"),
+    "aggregate-no-summary": (
+        lambda: aggregate_cycles([]), InsufficientDataError,
+        "aggregate_cycles needs at least one summary"),
+    "crossover-share-50": (
+        lambda: CrossoverResult(year=2000, established_share=50.0), TechCycleError,
+        "crossover share must be below 50, got 50.0"),
+    # curves and fits
+    "logistic-k-negative": (
+        lambda: LogisticParams(k=-1.0, a=0.0, b=1.0), TechCycleError,
+        "equilibrium level must be positive, got -1.0"),
+    "logistic-b-zero": (
+        lambda: LogisticParams(k=1.0, a=0.0, b=0.0), TechCycleError,
+        "growth rate must be positive, got 0.0"),
+    **{
+        f"logistic-a-{a}": (
+            lambda a=a: LogisticParams(k=1.0, a=a, b=1.0), TechCycleError,
+            f"location constant must be finite, got {a}")
+        for a in (math.nan, math.inf)
+    },
+    "logistic-fit-3-points": (
+        lambda: fit_logistic(_series({2000: 1.0, 2001: 2.0, 2002: 3.0})), InsufficientDataError,
+        "x: logistic fit needs >= 4 positive points, got 3"),
+    "zero-inside-window": (
+        lambda: fit_substitution(_series({t: 1.0 for t in range(2000, 2004)}, "new"),
+                                 _series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old"),
+                                 window=(2000, 2003)), TechCycleError,
+        "old: value for 2001 is absent or non-positive inside window 2000-2003"),
+    "ols-2-points": (
+        lambda: ols_simple([1.0, 2.0], [1.0, 2.0]), InsufficientDataError,
+        "need at least 3 observations, got 2"),
+    "ols-unequal-lengths": (
+        lambda: ols_simple([1.0, 2.0, 3.0], [1.0, 2.0]), InsufficientDataError,
+        "xs and ys must have equal length, got 3 and 2"),
+    "t-df-0": (lambda: t_p_value(1.0, 0), TechCycleError, "degrees of freedom must be >= 1, got 0"),
+    "render-xml": (lambda: render("xml", {}, ""), TechCycleError, "unknown output format 'xml'"),
+    # synthetic scenarios at the edges of their ranges
+    "scenario-empty-range": (
+        lambda: SyntheticScenario(OLD, NEW, (10, 0)), TechCycleError, "empty year range (10, 0)"),
+    "scenario-10000-years": (
+        lambda: SyntheticScenario(OLD, NEW, (0, 10_000)), TechCycleError,
+        "year range (0, 10000) covers 10001 years; at most 10000"),
+    **{
+        f"scenario-year-{years[0]}": (
+            lambda years=years: SyntheticScenario(OLD, NEW, years), TechCycleError,
+            f"year range {years} is not within [-1000000, 1000000]")
+        for years in ((1_000_001, 1_000_002), (-1_000_001, -1_000_000))
+    },
+    "scenario-noise_rel-1": (
+        lambda: SyntheticScenario(OLD, NEW, (0, 40), noise_rel=1.0), TechCycleError,
+        "noise_rel must be in [0, 1), got 1.0"),
+    "early-window-too-short": (
+        lambda: recovery_experiment(SyntheticScenario(SATURATED, SATURATED, (0, 20))), WindowError,
+        "early window (fraction 0.1) has fewer than 3 years; lower the growth rates, "
+        "start earlier, or raise the fraction"),
+    **{
+        f"early-fraction-{fraction}": (
+            lambda fraction=fraction: recovery_experiment(
+                SyntheticScenario(OLD, NEW, (0, 40)), early_fraction=fraction),
+            TechCycleError, f"early fraction must be in (0, 1), got {fraction}")
+        for fraction in (0.0, 1.0, -0.5, math.nan)
+    },
 }
 
 
-@pytest.mark.parametrize("case", sorted(CLI))
-def test_cli_error_output(case, tmp_path, capsys):
-    argv, files, code, stderr = CLI[case]
+def run_cli(case, tmp_path):
+    """Write ``case``'s files under ``tmp_path`` and run ``main`` on its argv."""
+    argv, files, _, _ = CLI[case]
     for name, content in files.items():
         path = tmp_path / name
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
-    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+    return main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+
+
+@pytest.mark.parametrize("case", sorted(CLI))
+def test_cli_error_output(case, tmp_path, capsys):
+    _, _, code, stderr = CLI[case]
+    assert run_cli(case, tmp_path) == code
     out, err = capsys.readouterr()
     assert err.replace(str(tmp_path), "{tmp}").replace(str(DATA), "{data}") == stderr
     if code != 0:
@@ -449,11 +593,10 @@ def test_cli_error_output(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(LIBRARY))
 def test_library_error(case):
-    call, code, message = LIBRARY[case]
+    call, error, message = LIBRARY[case]
     with pytest.raises(TechCycleError) as exc:
         call()
-    assert (3 if isinstance(exc.value, InsufficientDataError) else 2, str(exc.value)) == (
-        code, message)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 ERROR_CLASSES = sorted(
@@ -473,3 +616,52 @@ def test_error_class_maps_to_its_exit_code(name, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_validate", fail)
     assert cli.main(["validate"]) == (3 if issubclass(cls, errors.InsufficientDataError) else 2)
     assert capsys.readouterr().err == "error: the message\n"
+
+
+SRC = os.path.dirname(errors.__file__)
+
+
+def raise_sites():
+    """``file:line`` of each ``raise <package error class>(...)`` in the package.
+
+    ``errors.located`` re-raises as ``type(exc)(...)``, which is not a class
+    name, so it is not a site of its own: the error it prefixes started at one.
+    """
+    sites = set()
+    for path in sorted(Path(SRC).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id in ERROR_CLASSES):
+                sites.add(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_every_raise_site_starts_a_case(tmp_path, capsys):
+    """Run every case under a trace function that records where each package
+    error raised in the package started, and fail on a site where none did."""
+    started = set()
+
+    def trace(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if os.path.dirname(filename) != SRC:
+            return None
+        frame.f_trace_lines = False
+        # a traceback of one entry: the error was raised in this frame, not passed up to it
+        if event == "exception" and issubclass(arg[0], TechCycleError) and arg[2].tb_next is None:
+            started.add(f"{os.path.basename(filename)}:{arg[2].tb_lineno}")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for number, case in enumerate(CLI):
+            (tmp_path / str(number)).mkdir()
+            run_cli(case, tmp_path / str(number))
+        for call, _, _ in LIBRARY.values():
+            with pytest.raises(TechCycleError):
+                call()
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    unreached = sorted(raise_sites() - started)
+    assert not unreached, f"no case starts the error raised at {', '.join(unreached)}"

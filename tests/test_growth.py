@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from techcycle import growth
 from techcycle.cycle import detect_events
-from techcycle.errors import InsufficientDataError, TechCycleError
+from techcycle.errors import TechCycleError
 from techcycle.growth import (
     LogisticParams,
     Regime,
@@ -158,15 +158,6 @@ class TestLogisticValue:
         total = logistic_value(p, t_star + d) + logistic_value(p, t_star - d)
         assert total == pytest.approx(p.k, rel=1e-9)
 
-    def test_params_validation(self):
-        with pytest.raises(TechCycleError, match="equilibrium level must be positive"):
-            LogisticParams(k=-1.0, a=0.0, b=1.0)
-        with pytest.raises(TechCycleError, match="growth rate must be positive"):
-            LogisticParams(k=1.0, a=0.0, b=0.0)
-        for a in (math.nan, math.inf):
-            with pytest.raises(TechCycleError, match=f"location constant must be finite, got {a}"):
-                LogisticParams(k=1.0, a=a, b=1.0)
-
 
 class TestFitLogistic:
     def test_recovers_noise_free_curve(self):
@@ -191,10 +182,6 @@ class TestFitLogistic:
         assert shifted.k == pytest.approx(base.k, abs=1e-6 * base.k)
         assert shifted.b == pytest.approx(base.b, abs=1e-6)
         assert shifted.a == pytest.approx(base.a + 10 * base.b, rel=1e-6)
-
-    def test_needs_four_positive_points(self):
-        with pytest.raises(InsufficientDataError):
-            fit_logistic(series({2000: 1.0, 2001: 2.0, 2002: 3.0}))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1e3, 1e300])
     def test_scale_changes_only_equilibrium(self, scale):
@@ -455,24 +442,6 @@ class TestFitSubstitution:
         assert scaled.regime is fit.regime
         expected_shift = math.log(c_new) - fit.b_exponent * math.log(c_old)
         assert scaled.log_a - fit.log_a == pytest.approx(expected_shift, abs=1e-7)
-
-    def test_explicit_window_domain_error_names_year(self):
-        old = series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old")
-        new = series({t: 1.0 for t in range(2000, 2004)}, "new")
-        with pytest.raises(TechCycleError, match="2001"):
-            fit_substitution(new, old, window=(2000, 2003))
-
-    def test_window_too_small(self):
-        old = series({2000: 1.0, 2001: 2.0}, "old")
-        new = series({2000: 1.0, 2001: 2.0}, "new")
-        with pytest.raises(InsufficientDataError):
-            fit_substitution(new, old, window=(2000, 2001))
-
-    def test_no_overlap(self):
-        old = series({2000: 1.0, 2001: 1.0}, "old")
-        new = series({2005: 1.0, 2006: 1.0}, "new")
-        with pytest.raises(InsufficientDataError):
-            fit_substitution(new, old)
 
     def test_early_window_approximation_gap_grows_with_saturation(self):
         # On exact dual-logistic data the log-log exponent matches the rate

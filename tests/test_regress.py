@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from techcycle.errors import InsufficientDataError, TechCycleError
 from techcycle.regress import OlsFit, _f_tail, ols_simple, significance_stars, t_p_value
 
 
@@ -52,18 +51,6 @@ class TestOlsSimple:
         assert fit.intercept == pytest.approx(b0, rel=1e-10)
         assert fit.slope == pytest.approx(b1, rel=1e-10)
         assert fit.r2 == pytest.approx(r2, abs=1e-9)
-
-    def test_too_few_points(self):
-        with pytest.raises(InsufficientDataError):
-            ols_simple([1.0, 2.0], [1.0, 2.0])
-
-    def test_zero_variance_regressor(self):
-        with pytest.raises(TechCycleError, match="zero variance"):
-            ols_simple([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InsufficientDataError):
-            ols_simple([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_diagnostic_fields(self):
         rng = np.random.RandomState(3)
@@ -164,10 +151,6 @@ class TestTPValue:
         for t in (0.5, 1.0, 2.0, 3.8):
             ps = [t_p_value(t, df) for df in (1, 5, 13, 23, 100)]
             assert all(a > b for a, b in zip(ps, ps[1:]))
-
-    def test_df_zero_rejected(self):
-        with pytest.raises(TechCycleError, match="degrees of freedom must be >= 1"):
-            t_p_value(1.0, 0)
 
 
 class TestStars:

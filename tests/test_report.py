@@ -96,19 +96,9 @@ def test_build_report_checks_the_begin_year_overrides(dataset, data_dir, tmp_pat
 
 def test_write_report_unknown_format_creates_nothing(market, dataset, tmp_path):
     out = tmp_path / "x"
-    with pytest.raises(TechCycleError, match="^unknown output format 'xml'$"):
+    with pytest.raises(TechCycleError):
         write_report(market, dataset, out, "xml")
     assert list(tmp_path.iterdir()) == []
-
-
-class TestFitRendering:
-    def test_exact_fit_renders_infinite_f(self):
-        same = RevenueSeries(technology="t", base_year=2018,
-                             points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
-        fit = fit_substitution(same, same)
-        text = render_fit_text(fit)
-        assert "F = inf" in text
-        assert math.isinf(fit.fit.f_stat)
 
 
 class TestRenderedBytes:
@@ -142,7 +132,9 @@ class TestRenderedBytes:
     def test_fit_text_with_infinite_t(self):
         same = RevenueSeries(technology="t", base_year=2018,
                              points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
-        assert render_fit_text(fit_substitution(same, same)) == (
+        fit = fit_substitution(same, same)
+        assert math.isinf(fit.fit.f_stat)
+        assert render_fit_text(fit) == (
             "Substitution fit: t vs t\n"
             "Window: 2000-2005  (n=6, natural logs)\n"
             "\n"
