@@ -101,6 +101,16 @@ def test_write_report_unknown_format_creates_nothing(market, dataset, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+class TestFitRendering:
+    def test_exact_fit_renders_infinite_f(self):
+        same = RevenueSeries(technology="t", base_year=2018,
+                             points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
+        fit = fit_substitution(same, same)
+        text = render_fit_text(fit)
+        assert "F = inf" in text
+        assert math.isinf(fit.fit.f_stat)
+
+
 class TestRenderedBytes:
     """Whole renderer outputs, pinned byte for byte, on inputs that reach the
     branches the bundled data do not: infinite statistics, no crossover, an
@@ -132,9 +142,7 @@ class TestRenderedBytes:
     def test_fit_text_with_infinite_t(self):
         same = RevenueSeries(technology="t", base_year=2018,
                              points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
-        fit = fit_substitution(same, same)
-        assert math.isinf(fit.fit.f_stat)
-        assert render_fit_text(fit) == (
+        assert render_fit_text(fit_substitution(same, same)) == (
             "Substitution fit: t vs t\n"
             "Window: 2000-2005  (n=6, natural logs)\n"
             "\n"
