@@ -17,7 +17,6 @@ from scipy import integrate
 
 from techcycle.cli import main as cli_main
 from techcycle.cycle import (
-    CycleEvents,
     aggregate_cycles,
     crossover_year,
     cycle_metrics,
@@ -33,22 +32,12 @@ from techcycle.regress import ols_simple, t_p_value
 from techcycle.report import build_report
 from techcycle.synthlab import SyntheticScenario, recovery_experiment
 
+from builders import REFERENCE_ROWS, events
+
 
 def report_line(name, detail):
     print(f"\nACCEPTANCE {name}: PASS  ({detail})")
 
-
-def events(tech, a, m, z):
-    return CycleEvents(technology=tech, a_year=a, m_year=m, z_year=z)
-
-
-REFERENCE_TRIPLES = [
-    ("vinyl", 1930, 1979, 2019),
-    ("8-track", 1965, 1978, 1982),
-    ("cassette", 1964, 1990, 2005),
-    ("cd", 1983, 2001, 2019),
-    ("download", 2004, 2012, None),
-]
 
 REFERENCE_ROW_VALUES = {
     "vinyl": (49, 40, 89, 55.06, 44.94),
@@ -61,7 +50,7 @@ REFERENCE_ROW_VALUES = {
 
 def test_criterion_1_cycle_table_arithmetic():
     """Wave lengths, means, SDs and the 61.24/38.76 split, exactly."""
-    triples = [events(t, a, m, z) for t, a, m, z in REFERENCE_TRIPLES]
+    triples = [events(t, a, m, z) for t, a, m, z in REFERENCE_ROWS]
 
     def compute():
         summaries = [cycle_metrics(ev) for ev in triples]

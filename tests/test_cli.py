@@ -12,6 +12,8 @@ import pytest
 from techcycle.cli import build_parser, main
 from techcycle.config import default_data_dir
 
+from builders import data_flags, dataset_files, write_files
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -22,32 +24,23 @@ def run_cli(*argv, capsys=None):
 @pytest.fixture()
 def tiny_dataset(tmp_path):
     """Two never-overlapping technologies plus a CPI covering their years."""
-    (tmp_path / "data.csv").write_text(
-        "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
+    write_files(tmp_path, dataset_files(
         "2000,Old,10.0,,\n2001,Old,10.0,,\n"
-        "2005,New,1.0,,\n2006,New,2.0,,\n"
-    )
-    (tmp_path / "cpi.csv").write_text(
-        "year,index\n2000,80\n2001,82\n2005,90\n2006,92\n2018,100\n"
-    )
-    (tmp_path / "groups.cfg").write_text("old = Old\nnew = New\n")
+        "2005,New,1.0,,\n2006,New,2.0,,\n",
+        cpi="year,index\n2000,80\n2001,82\n2005,90\n2006,92\n2018,100\n"))
     return tmp_path
 
 
 @pytest.fixture()
 def twin_dataset(tmp_path):
     """Two technologies with equal revenue every year, so new = old ** 1 exactly."""
-    rows = [f"{2000 + i},{fmt},,{value!r},"
-            for i, value in enumerate([1.0, 2.0, 4.0, 8.0, 16.0, 8.0, 4.0, 2.0, 0.01])
-            for fmt in ("Old", "New")]
-    (tmp_path / "data.csv").write_text(
-        "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n"
-    )
-    (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
-    (tmp_path / "groups.cfg").write_text("old = Old\nnew = New\n")
-    (tmp_path / "reference.cfg").write_text(
-        "table1_old = old\ntable1_new = new\ntable2_old = old\ntable2_new = new\n"
-    )
+    rows = "".join(f"{2000 + i},{fmt},,{value!r},\n"
+                   for i, value in enumerate([1.0, 2.0, 4.0, 8.0, 16.0, 8.0, 4.0, 2.0, 0.01])
+                   for fmt in ("Old", "New"))
+    write_files(tmp_path, {
+        **dataset_files(rows, cpi="year,index\n2018,100\n"),
+        "reference.cfg": "table1_old = old\ntable1_new = new\ntable2_old = old\ntable2_new = new\n",
+    })
     return tmp_path
 
 
@@ -57,11 +50,6 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     return json.loads(text, parse_constant=reject)
-
-
-def data_flags(path):
-    return ["--data", str(path / "data.csv"), "--cpi", str(path / "cpi.csv"),
-            "--groups", str(path / "groups.cfg")]
 
 
 def _flags(parser):
@@ -126,11 +114,9 @@ def test_parser_flags():
 
 class TestValidate:
     def test_whole_output_names_gap_years_and_ungrouped_formats(self, tiny_dataset, capsys):
-        (tiny_dataset / "data.csv").write_text(
-            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
-            "2000,Old,10.0,,\n2006,Old,10.0,,\n2005,New,1.0,,\n2006,New,2.0,,\n2005,Stray,1.0,,\n"
-        )
-        (tiny_dataset / "cpi.csv").write_text("year,index\n2000,80\n2005,90\n2006,92\n2018,100\n")
+        write_files(tiny_dataset, dataset_files(
+            "2000,Old,10.0,,\n2006,Old,10.0,,\n2005,New,1.0,,\n2006,New,2.0,,\n2005,Stray,1.0,,\n",
+            cpi="year,index\n2000,80\n2005,90\n2006,92\n2018,100\n"))
         code, out, err = run_cli("validate", *data_flags(tiny_dataset), capsys=capsys)
         assert (code, err) == (0, "")
         assert out == (
@@ -294,13 +280,11 @@ class TestCrossover:
         }
 
     def test_no_peak_and_end_prints_its_reason(self, tmp_path, capsys):
-        rows = [f"{2000 + i},{fmt},,{value!r},"
-                for fmt, values in (("Old", [1.0, 2.0, 3.0, 4.0]), ("New", [1.0, 3.0, 5.0, 7.0]))
-                for i, value in enumerate(values)]
-        (tmp_path / "data.csv").write_text(
-            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n")
-        (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
-        (tmp_path / "groups.cfg").write_text("old = Old\nnew = New\n")
+        rows = "".join(f"{2000 + i},{fmt},,{value!r},\n"
+                       for fmt, values in (("Old", [1.0, 2.0, 3.0, 4.0]),
+                                           ("New", [1.0, 3.0, 5.0, 7.0]))
+                       for i, value in enumerate(values))
+        write_files(tmp_path, dataset_files(rows, cpi="year,index\n2018,100\n"))
         code, out, err = run_cli("crossover", *data_flags(tmp_path), "--old", "old", "--new", "new",
                                  capsys=capsys)
         assert (code, err) == (0, "")
@@ -367,12 +351,8 @@ class TestCycles:
         assert scalar_map["aggregate.n_per_column.am"] == "5"
 
     def test_single_technology_dataset(self, tmp_path, capsys):
-        (tmp_path / "data.csv").write_text(
-            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
-            "2000,Solo,,1.0,\n2001,Solo,,5.0,\n2002,Solo,,0.01,\n"
-        )
-        (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
-        (tmp_path / "groups.cfg").write_text("solo = Solo\n")
+        write_files(tmp_path, dataset_files("2000,Solo,,1.0,\n2001,Solo,,5.0,\n2002,Solo,,0.01,\n",
+                                            cpi="year,index\n2018,100\n", groups="solo = Solo\n"))
         code, out, _ = run_cli("cycles", *data_flags(tmp_path), "--format", "json",
                                capsys=capsys)
         assert code == 0

@@ -7,37 +7,14 @@ from hypothesis import strategies as st
 
 from techcycle.cycle import (
     CrossoverResult,
-    CycleEvents,
     aggregate_cycles,
     crossover_year,
     cycle_metrics,
     detect_events,
 )
 from techcycle.errors import TechCycleError
-from techcycle.market_data import RevenueSeries
 
-
-def series(points, name="x"):
-    return RevenueSeries(technology=name, base_year=2018, points=points)
-
-
-def rescaled(s, factor):
-    return RevenueSeries(s.technology, s.base_year,
-                         {year: value * factor for year, value in s.points.items()})
-
-
-def events(tech, a, m, z, censored=False):
-    return CycleEvents(technology=tech, a_year=a, m_year=m, z_year=z, censored=censored)
-
-
-# Reference lifecycle rows: (technology, A, M, Z); None = still in progress.
-REFERENCE_ROWS = [
-    ("vinyl", 1930, 1979, 2019),
-    ("8-track", 1965, 1978, 1982),
-    ("cassette", 1964, 1990, 2005),
-    ("cd", 1983, 2001, 2019),
-    ("download", 2004, 2012, None),
-]
+from builders import REFERENCE_ROWS, events, rescaled, series
 
 
 class TestDetectEvents:

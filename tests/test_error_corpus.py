@@ -33,7 +33,6 @@ from techcycle.cli import main
 from techcycle.config import default_data_dir
 from techcycle.cycle import (
     CrossoverResult,
-    CycleEvents,
     aggregate_cycles,
     cycle_metrics,
     detect_events,
@@ -43,7 +42,6 @@ from techcycle.growth import LogisticParams, fit_logistic, fit_substitution
 from techcycle.market_data import (
     CpiTable,
     RevenueRecord,
-    RevenueSeries,
     TechnologyGroup,
     aggregate_group,
     merge_series,
@@ -52,19 +50,13 @@ from techcycle.regress import ols_simple, t_p_value
 from techcycle.report import render
 from techcycle.synthlab import SyntheticScenario, recovery_experiment
 
+from builders import data_flags, dataset_files, events, series, write_files
+
 DATA = default_data_dir()
 SCENARIO = str(DATA / "scenarios" / "dual_logistic_demo.cfg")
-HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n"
 REFERENCE = (DATA / "reference.cfg").read_text()
 KNOWN = "8-track, cassette, cd, download, streaming, vinyl"
-
-
-def tiny(rows: str, cpi: str = "year,index\n2000,80\n2001,82\n2002,85\n2018,100\n") -> dict:
-    """A small dataset: revenue ``rows`` under the header, a CPI and two groups."""
-    return {"data.csv": HEADER + rows, "cpi.csv": cpi, "groups.cfg": "old = Old\nnew = New\n"}
-
-
-TINY = ["--data", "{tmp}/data.csv", "--cpi", "{tmp}/cpi.csv", "--groups", "{tmp}/groups.cfg"]
+TINY = data_flags("{tmp}")
 
 
 def reference(key: str, line: str) -> dict:
@@ -85,8 +77,7 @@ def oversized(name: str) -> str:
 
 def non_finite(column: str, cell: str) -> dict:
     row = {"revenue_nominal_musd": "10.0", "revenue_real_musd": "", "units_m": "", column: cell}
-    return {**tiny(""), "data.csv": "year,format," + ",".join(row) + "\n2000,Old,"
-            + ",".join(row.values()) + "\n"}
+    return dataset_files("2000,Old," + ",".join(row.values()) + "\n")
 
 
 # what each subcommand needs besides --config
@@ -184,20 +175,20 @@ CLI = {
         "error: {tmp}/r.cfg: line 7: expected 'name = value'\n",
     ),
     "groups-duplicate-key": (
-        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nold = New\n"},
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", groups="old = Old\nold = New\n"),
         2, "error: {tmp}/groups.cfg: line 2: duplicate key 'old'\n",
     ),
     "groups-no-formats": (
-        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nnew = ;\n"},
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", groups="old = Old\nnew = ;\n"),
         2, "error: {tmp}/groups.cfg: group 'new' lists no formats\n",
     ),
     "groups-format-in-two-groups": (
         ["validate", *TINY],
-        {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "old = Old\nnew = New; Old\n"}, 2,
+        dataset_files("2000,Old,10.0,,\n", groups="old = Old\nnew = New; Old\n"), 2,
         "error: {tmp}/groups.cfg: format 'Old' appears in both 'old' and 'new'\n",
     ),
     "groups-none-defined": (
-        ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": "# no groups\n\n"}, 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", groups="# no groups\n\n"), 2,
         "error: {tmp}/groups.cfg: no groups defined\n",
     ),
     **{
@@ -276,84 +267,90 @@ CLI = {
     },
     # one input per kind of fault
     "revenue-both-columns-empty": (
-        ["validate", *TINY], tiny("2000,Old,,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,,,\n"), 2,
         "error: {tmp}/data.csv: row 1: both revenue columns are empty\n",
     ),
     "revenue-empty-format": (
-        ["validate", *TINY], tiny("2000, ,10.0,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000, ,10.0,,\n"), 2,
         "error: {tmp}/data.csv: row 1: empty format label\n",
     ),
     "revenue-year-not-integer": (
-        ["validate", *TINY], tiny("20x0,Old,10.0,,\n"), 2,
+        ["validate", *TINY], dataset_files("20x0,Old,10.0,,\n"), 2,
         "error: {tmp}/data.csv: row 1, column year: '20x0' is not an integer\n",
     ),
     "revenue-duplicate-row": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n2000,Old,11.0,,\n"), 2,
         "error: {tmp}/data.csv: row 2: duplicate entry for (2000, 'Old')\n",
     ),
     "revenue-year-out-of-range": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n1850,Old,5.0,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n1850,Old,5.0,,\n"), 2,
         "error: {tmp}/data.csv: row 2: year 1850 outside [1900, 2100]\n",
     ),
     "revenue-negative": (
-        ["validate", *TINY], tiny("2000,Old,-5,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,-5,,\n"), 2,
         "error: {tmp}/data.csv: row 1: 2000 'Old': revenue_nominal must be >= 0\n",
     ),
     "cpi-index-not-positive": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,0\n2018,100\n"), 2,
+        ["validate", *TINY],
+        dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000,0\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: row 1, column index: '0' is not positive\n",
     ),
     "cpi-missing-year": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: no CPI index for year 2000\n",
     ),
     "cpi-extra-cell": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80,5\n2018,100\n"), 2,
+        ["validate", *TINY],
+        dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000,80,5\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: row 1: expected 2 cells, got 3\n",
     ),
     "cpi-index-not-number": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,abc\n2018,100\n"), 2,
+        ["validate", *TINY],
+        dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000,abc\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: row 1, column index: 'abc' is not a number\n",
     ),
     "cpi-empty-index": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000, \n2018,100\n"), 2,
+        ["validate", *TINY],
+        dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000, \n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: row 1: empty index\n",
     ),
     "cpi-duplicate-year": (
         ["validate", *TINY],
-        tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n2018,100\n2000,81\n"), 2,
+        dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n2018,100\n2000,81\n"), 2,
         "error: {tmp}/cpi.csv: row 3: duplicate entry for year 2000\n",
     ),
     "cpi-header": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,cpi\n2000,80\n2018,100\n"), 2,
+        ["validate", *TINY],
+        dataset_files("2000,Old,10.0,,\n", cpi="year,cpi\n2000,80\n2018,100\n"), 2,
         "error: {tmp}/cpi.csv: unexpected header ['year', 'cpi']; expected year,index\n",
     ),
     "cpi-missing-base-year": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", cpi="year,index\n2000,80\n"), 2,
         "error: {tmp}/cpi.csv: CPI table lacks its base year 2018\n",
     ),
     "cpi-deflation-overflow": (
-        ["validate", *TINY], tiny("2000,Old,1e10,,\n", cpi="year,index\n2000,1e-300\n2018,1e10\n"),
+        ["validate", *TINY],
+        dataset_files("2000,Old,1e10,,\n", cpi="year,index\n2000,1e-300\n2018,1e10\n"),
         2, "error: {tmp}/cpi.csv: 2000 'Old': revenue_real is not finite\n",
     ),
     "group-sum-overflow": (
         ["validate", *TINY],
-        {**tiny("2000,A,,1e308,\n2000,B,,1e308,\n"), "groups.cfg": "x = A;B\n"}, 2,
+        dataset_files("2000,A,,1e308,\n2000,B,,1e308,\n", groups="x = A;B\n"), 2,
         "error: {tmp}/groups.cfg: x: revenue sum for 2000 is not finite\n",
     ),
     "combination-sum-overflow": (
         ["fit", *TINY, "--old", "c", "--new", "a+b"],
-        {**tiny("2000,A,,1e308,\n2000,B,,1e308,\n2000,C,,1.0,\n2001,C,,1.0,\n"),
-         "groups.cfg": "a = A\nb = B\nc = C\n"}, 2,
+        dataset_files("2000,A,,1e308,\n2000,B,,1e308,\n2000,C,,1.0,\n2001,C,,1.0,\n",
+                      groups="a = A\nb = B\nc = C\n"), 2,
         "error: a+b: revenue sum for 2000 is not finite\n",
     ),
     "group-matches-nothing": (
-        ["validate", *TINY], tiny("2000,Old,10.0,,\n"), 2,
+        ["validate", *TINY], dataset_files("2000,Old,10.0,,\n"), 2,
         "error: {tmp}/groups.cfg: group 'new' matched no record (formats: New)\n",
     ),
     **{
         f"group-name-{label}": (
-            ["validate", *TINY], {**tiny("2000,Old,10.0,,\n"), "groups.cfg": f"{name} = Old\n"}, 2,
+            ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", groups=f"{name} = Old\n"), 2,
             f"error: {{tmp}}/groups.cfg: group name '{name}' may hold only ASCII letters, "
             "digits, '-' and '_'\n",
         )
@@ -361,9 +358,9 @@ CLI = {
     },
     "constant-regressor": (
         ["fit", *TINY, "--old", "old", "--new", "new"],
-        tiny("2000,Old,5.0,,\n2001,Old,5.0,,\n2002,Old,5.0,,\n"
-             "2000,New,1.0,,\n2001,New,2.0,,\n2002,New,3.0,,\n",
-             cpi="year,index\n2000,100\n2001,100\n2002,100\n2018,100\n"), 2,
+        dataset_files("2000,Old,5.0,,\n2001,Old,5.0,,\n2002,Old,5.0,,\n"
+                      "2000,New,1.0,,\n2001,New,2.0,,\n2002,New,3.0,,\n",
+                      cpi="year,index\n2000,100\n2001,100\n2002,100\n2018,100\n"), 2,
         "error: explanatory variable has zero variance\n",
     ),
     "window-with-absent-year": (
@@ -409,7 +406,7 @@ CLI = {
     ),
     "no-overlap": (
         ["fit", *TINY, "--old", "old", "--new", "new"],
-        tiny("2000,Old,10.0,,\n2001,Old,10.0,,\n2002,New,1.0,,\n"), 3,
+        dataset_files("2000,Old,10.0,,\n2001,Old,10.0,,\n2002,New,1.0,,\n"), 3,
         "error: new vs old: no overlapping strictly-positive years\n",
     ),
     "no-comparable-year": (
@@ -450,14 +447,6 @@ CLI = {
 }
 
 
-def _events(a_year, m_year, z_year):
-    return CycleEvents(technology="x", a_year=a_year, m_year=m_year, z_year=z_year)
-
-
-def _series(points, technology="x"):
-    return RevenueSeries(technology=technology, base_year=2018, points=points)
-
-
 # the bundled demo scenario's curves, and a curve near saturation from year 0
 OLD, NEW = LogisticParams(k=1000.0, a=6.0, b=0.3), LogisticParams(k=2500.0, a=9.0, b=0.6)
 SATURATED = LogisticParams(k=1000.0, a=-5.0, b=0.5)
@@ -471,14 +460,14 @@ LIBRARY = {
     "record-negative-real": (
         lambda: RevenueRecord(year=2000, format="CD", revenue_real=-1.0), TechCycleError,
         "2000 'CD': revenue_real must be >= 0"),
-    "series-no-points": (lambda: _series({}), TechCycleError, "x: series has no observations"),
+    "series-no-points": (lambda: series({}), TechCycleError, "x: series has no observations"),
     "series-nan": (
-        lambda: _series({2000: math.nan, 2001: 1.0}), TechCycleError,
+        lambda: series({2000: math.nan, 2001: 1.0}), TechCycleError,
         "x: value for 2000 is not finite"),
     "series-negative": (
-        lambda: _series({2000: -1.0}), TechCycleError, "x: value for 2000 must be >= 0"),
+        lambda: series({2000: -1.0}), TechCycleError, "x: value for 2000 must be >= 0"),
     "no-positive-revenue": (
-        lambda: _series({2000: 0.0}), TechCycleError,
+        lambda: series({2000: 0.0}), TechCycleError,
         "x: series needs at least one positive value"),
     "group-no-formats": (
         lambda: TechnologyGroup("cd", ()), TechCycleError, "group 'cd' has no formats"),
@@ -494,16 +483,16 @@ LIBRARY = {
         "merge_series needs at least one series"),
     # cycle events and statistics
     "events-out-of-order": (
-        lambda: _events(2005, 2001, 2010), TechCycleError, "x: begin 2005 after peak 2001"),
+        lambda: events("x", 2005, 2001, 2010), TechCycleError, "x: begin 2005 after peak 2001"),
     "peak-after-end": (
-        lambda: _events(2000, 2010, 2005), TechCycleError, "x: peak 2010 after end 2005"),
+        lambda: events("x", 2000, 2010, 2005), TechCycleError, "x: peak 2010 after end 2005"),
     "end-without-peak": (
-        lambda: _events(2000, None, 2005), TechCycleError, "x: end year without a peak year"),
+        lambda: events("x", 2000, None, 2005), TechCycleError, "x: end year without a peak year"),
     "zero-length-cycle": (
-        lambda: cycle_metrics(_events(2000, 2000, 2000)), TechCycleError,
+        lambda: cycle_metrics(events("x", 2000, 2000, 2000)), TechCycleError,
         "x: zero-length cycle, wave shares undefined"),
     "end-threshold-0": (
-        lambda: detect_events(_series({2000: 1.0}), end_threshold_rel=0.0), TechCycleError,
+        lambda: detect_events(series({2000: 1.0}), end_threshold_rel=0.0), TechCycleError,
         "end threshold must be in (0, 1), got 0.0"),
     "aggregate-no-summary": (
         lambda: aggregate_cycles([]), InsufficientDataError,
@@ -525,11 +514,11 @@ LIBRARY = {
         for a in (math.nan, math.inf)
     },
     "logistic-fit-3-points": (
-        lambda: fit_logistic(_series({2000: 1.0, 2001: 2.0, 2002: 3.0})), InsufficientDataError,
+        lambda: fit_logistic(series({2000: 1.0, 2001: 2.0, 2002: 3.0})), InsufficientDataError,
         "x: logistic fit needs >= 4 positive points, got 3"),
     "zero-inside-window": (
-        lambda: fit_substitution(_series({t: 1.0 for t in range(2000, 2004)}, "new"),
-                                 _series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old"),
+        lambda: fit_substitution(series({t: 1.0 for t in range(2000, 2004)}, "new"),
+                                 series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old"),
                                  window=(2000, 2003)), TechCycleError,
         "old: value for 2001 is absent or non-positive inside window 2000-2003"),
     "ols-2-points": (
@@ -572,12 +561,7 @@ LIBRARY = {
 def run_cli(case, tmp_path):
     """Write ``case``'s files under ``tmp_path`` and run ``main`` on its argv."""
     argv, files, _, _ = CLI[case]
-    for name, content in files.items():
-        path = tmp_path / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
+    write_files(tmp_path, files)
     return main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
 
 

@@ -23,17 +23,9 @@ from techcycle.growth import (
     logistic_value,
     odds_relation,
 )
-from techcycle.market_data import RevenueSeries
 from techcycle.synthlab import SyntheticScenario, generate_scenario, recovery_experiment
 
-
-def series(points, name="x"):
-    return RevenueSeries(technology=name, base_year=2018, points=points)
-
-
-def rescaled(s, factor):
-    return RevenueSeries(s.technology, s.base_year,
-                         {year: value * factor for year, value in s.points.items()})
+from builders import rescaled, series
 
 
 def logistic_series(params, years, name="x"):

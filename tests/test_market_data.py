@@ -10,7 +10,6 @@ from techcycle.market_data import (
     BASE_YEAR,
     CpiTable,
     RevenueRecord,
-    RevenueSeries,
     TechnologyGroup,
     adjust_inflation,
     aggregate_group,
@@ -18,7 +17,7 @@ from techcycle.market_data import (
     positive_overlap_window,
 )
 
-HEADER = "year,format,revenue_nominal_musd,revenue_real_musd,units_m"
+from builders import HEADER, series
 
 
 def csv_text(records):
@@ -31,10 +30,6 @@ def csv_text(records):
         for r in records
     ]
     return "\n".join([HEADER, *rows]) + "\n"
-
-
-def make_series(points, technology="x", base_year=2018):
-    return RevenueSeries(technology=technology, base_year=base_year, points=points)
 
 
 class TestParse:
@@ -200,18 +195,18 @@ class TestAggregateGroup:
 
 class TestPositiveOverlapWindow:
     def test_reference_spans(self):
-        a = make_series({y: 1.0 for y in range(1984, 2009)})
-        b = make_series({y: 1.0 for y in range(1973, 2009)})
+        a = series({y: 1.0 for y in range(1984, 2009)})
+        b = series({y: 1.0 for y in range(1973, 2009)})
         assert positive_overlap_window(a, b) == (1984, 2008)
 
     def test_disjoint_supports(self):
-        a = make_series({2000: 1.0, 2001: 1.0})
-        b = make_series({2005: 1.0})
+        a = series({2000: 1.0, 2001: 1.0})
+        b = series({2005: 1.0})
         assert positive_overlap_window(a, b) is None
 
     def test_zero_breaks_run(self):
-        a = make_series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0})
-        b = make_series({y: 1.0 for y in range(2000, 2004)})
+        a = series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0})
+        b = series({y: 1.0 for y in range(2000, 2004)})
         assert positive_overlap_window(a, b) == (2002, 2003)
 
     @given(
@@ -224,7 +219,7 @@ class TestPositiveOverlapWindow:
     def test_matches_exhaustive_scan_and_symmetry(self, pa, pb):
         if all(v == 0 for v in pa.values()) or all(v == 0 for v in pb.values()):
             return
-        a, b = make_series(pa), make_series(pb, technology="y")
+        a, b = series(pa), series(pb, "y")
 
         best, run = None, None
         for year in range(1985, 2016):
@@ -244,8 +239,8 @@ class TestPositiveOverlapWindow:
 
 class TestSeriesValidation:
     def test_points_sorted_and_immutable(self):
-        series = make_series({2002: 1.0, 2000: 2.0, 2001: 3.0})
-        assert tuple(series.points) == (2000, 2001, 2002)
+        s = series({2002: 1.0, 2000: 2.0, 2001: 3.0})
+        assert tuple(s.points) == (2000, 2001, 2002)
         with pytest.raises(TypeError):
-            series.points[2003] = 4.0
+            s.points[2003] = 4.0
 

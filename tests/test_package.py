@@ -30,6 +30,17 @@ def test_config_import_loads_no_analysis_module(checkout_env):
     ]
 
 
+def test_cli_import_loads_no_heavy_module(checkout_env):
+    # dataclasses alone pulls in inspect, ast, dis and tokenize; every CLI
+    # run pays for what this import loads
+    code = "import sys, techcycle.cli; print(*sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=checkout_env, check=True)
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "statistics", "decimal",
+             "fractions", "numpy", "scipy"}
+    assert heavy & set(result.stdout.split()) == set()
+
+
 ERROR_NAMES = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.TechCycleError)}
 

@@ -6,7 +6,6 @@ import pytest
 from techcycle.config import load_reference
 from techcycle.errors import TechCycleError
 from techcycle.growth import fit_substitution
-from techcycle.market_data import RevenueSeries
 from techcycle.report import (
     build_report,
     cycle_events,
@@ -19,6 +18,8 @@ from techcycle.report import (
     render_table4_text,
     write_report,
 )
+
+from builders import dataset_files, series, write_files
 
 
 @pytest.fixture(scope="module")
@@ -103,46 +104,10 @@ def test_write_report_unknown_format_creates_nothing(market, dataset, tmp_path):
 
 class TestFitRendering:
     def test_exact_fit_renders_infinite_f(self):
-        same = RevenueSeries(technology="t", base_year=2018,
-                             points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
+        same = series({y: 2.0 ** (y - 2000) for y in range(2000, 2006)}, "t")
         fit = fit_substitution(same, same)
         text = render_fit_text(fit)
-        assert "F = inf" in text
-        assert math.isinf(fit.fit.f_stat)
-
-
-class TestRenderedBytes:
-    """Whole renderer outputs, pinned byte for byte, on inputs that reach the
-    branches the bundled data do not: infinite statistics, no crossover, an
-    established side with no peak, and a column with a single entry."""
-
-    SERIES = {
-        "Old": (2000, [1.0, 4.0, 9.0, 6.0, 3.0, 1.0, 0.5, 0.05, 0.01]),
-        "Mid": (2002, [1.0, 3.0, 8.0, 12.0, 9.0, 5.0, 4.0]),
-        "New": (2005, [1.0, 3.0, 6.0, 10.0]),
-        "Fast": (2006, [0.5, 5.0, 20.0]),
-        "Solo": (1990, [2.0, 5.0, 3.0, 0.01]),
-    }
-
-    @pytest.fixture()
-    def small(self, tmp_path):
-        rows = [f"{first + i},{fmt},,{value!r},"
-                for fmt, (first, values) in self.SERIES.items() for i, value in enumerate(values)]
-        (tmp_path / "data.csv").write_text(
-            "year,format,revenue_nominal_musd,revenue_real_musd,units_m\n" + "\n".join(rows) + "\n")
-        (tmp_path / "cpi.csv").write_text("year,index\n2018,100\n")
-        (tmp_path / "groups.cfg").write_text(
-            "old = Old\nmid = Mid\nnew = New\nfast = Fast\nsolo = Solo\n")
-        (tmp_path / "reference.cfg").write_text(
-            "table1_old = old\ntable1_new = mid\ntable2_old = mid\ntable2_new = new\n"
-            "table3_pairs = old:mid; mid:new; new:fast; solo:old; fast:new\n")
-        dataset = load_dataset(tmp_path / "data.csv", tmp_path / "cpi.csv", tmp_path / "groups.cfg")
-        return dataset, load_reference(tmp_path / "reference.cfg")
-
-    def test_fit_text_with_infinite_t(self):
-        same = RevenueSeries(technology="t", base_year=2018,
-                             points={y: 2.0 ** (y - 2000) for y in range(2000, 2006)})
-        assert render_fit_text(fit_substitution(same, same)) == (
+        assert text == (
             "Substitution fit: t vs t\n"
             "Window: 2000-2005  (n=6, natural logs)\n"
             "\n"
@@ -154,6 +119,35 @@ class TestRenderedBytes:
             "F = inf (p = 0.000)\n"
             "Regime: Proportional\n"
         )
+        assert math.isinf(fit.fit.f_stat)
+
+
+class TestRenderedBytes:
+    """Whole renderer outputs, pinned byte for byte, on inputs that reach the
+    branches the bundled data do not: no crossover, an established side with
+    no peak, and a column with a single entry."""
+
+    SERIES = {
+        "Old": (2000, [1.0, 4.0, 9.0, 6.0, 3.0, 1.0, 0.5, 0.05, 0.01]),
+        "Mid": (2002, [1.0, 3.0, 8.0, 12.0, 9.0, 5.0, 4.0]),
+        "New": (2005, [1.0, 3.0, 6.0, 10.0]),
+        "Fast": (2006, [0.5, 5.0, 20.0]),
+        "Solo": (1990, [2.0, 5.0, 3.0, 0.01]),
+    }
+
+    @pytest.fixture()
+    def small(self, tmp_path):
+        rows = "".join(f"{first + i},{fmt},,{value!r},\n" for fmt, (first, values)
+                       in self.SERIES.items() for i, value in enumerate(values))
+        write_files(tmp_path, {
+            **dataset_files(rows, cpi="year,index\n2018,100\n",
+                            groups="old = Old\nmid = Mid\nnew = New\nfast = Fast\nsolo = Solo\n"),
+            "reference.cfg": "table1_old = old\ntable1_new = mid\n"
+                             "table2_old = mid\ntable2_new = new\n"
+                             "table3_pairs = old:mid; mid:new; new:fast; solo:old; fast:new\n",
+        })
+        dataset = load_dataset(tmp_path / "data.csv", tmp_path / "cpi.csv", tmp_path / "groups.cfg")
+        return dataset, load_reference(tmp_path / "reference.cfg")
 
     def test_table3_text(self, small):
         assert render_table3_text(build_report(*small)) == (
