@@ -66,8 +66,6 @@ def load_groups(path: str | Path) -> list[TechnologyGroup]:
             if not _NAME.fullmatch(name):
                 raise TechCycleError(f"group name {name!r} {_NAME_RULE}")
             formats = tuple(f.strip() for f in value.split(";") if f.strip())
-            if not formats:
-                raise TechCycleError(f"group {name!r} lists no formats")
             for fmt in formats:
                 if fmt in claimed:
                     raise TechCycleError(f"format {fmt!r} appears in both {claimed[fmt]!r} "

@@ -161,8 +161,6 @@ def parse_revenue_table(raw_text: str) -> list[RevenueRecord]:
         nominal = _parse_optional_float(row[2], row_no, "revenue_nominal_musd")
         real = _parse_optional_float(row[3], row_no, "revenue_real_musd")
         units = _parse_optional_float(row[4], row_no, "units_m")
-        if nominal is None and real is None:
-            raise TechCycleError(f"row {row_no}: both revenue columns are empty")
         key = (year, fmt)
         if key in seen:
             raise TechCycleError(f"row {row_no}: duplicate entry for ({year}, {fmt!r})")

@@ -72,6 +72,12 @@ DATA_FLAGS = [
 FORMAT_FLAG = (["--format"], "text", False, ["text", "csv", "json"], "output format (default text)")
 CONFIG_FLAG = (["--config"], "DATA/reference.cfg", False, None,
                "reference config (default: bundled reference.cfg)")
+# Every subcommand's complete flag list, so a removed flag that comes back
+# fails test_parser_flags. None takes --base-year: the dollar basis is the
+# data's (revenue_real_musd is in 2018 dollars). fit takes no --tolerance: the
+# proportional regime band is fixed in growth.py. simulate takes no
+# --early-fraction: the early window's fraction is recovery_experiment's
+# default. crossover takes no --end-threshold: the reference config sets it.
 SUBCOMMANDS = {
     "validate": ("parse and sanity-check a dataset", "cmd_validate", [HELP, *DATA_FLAGS]),
     "fit": ("fit the substitution exponent for one pair", "cmd_fit", [
@@ -200,35 +206,6 @@ class TestStandardJson:
         assert tables["table2"]["f_stat"] is None
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate"],
-    ["fit", "--old", "cassette", "--new", "cd"],
-    ["cycles"],
-    ["crossover", "--old", "cd", "--new", "download"],
-    ["report", "--out", "{tmp}"],
-])
-def test_base_year_flag_removed(tmp_path, capsys, argv):
-    # The dollar basis is the data's: revenue_real_musd is in 2018 dollars.
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(tmp=tmp_path) for arg in argv] + ["--base-year", "2018"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --base-year" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["fit", "--old", "cassette", "--new", "cd", "--tolerance", "0.05"], "--tolerance"),
-    (["simulate", "--scenario", "{scenario}", "--early-fraction", "0.1"], "--early-fraction"),
-])
-def test_regime_band_and_early_fraction_flags_removed(data_dir, capsys, argv, flag):
-    # The proportional band is fixed in growth.py; the early window's fraction
-    # is recovery_experiment's default.
-    scenario = data_dir / "scenarios" / "dual_logistic_demo.cfg"
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(scenario=scenario) for arg in argv])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-
 class TestCrossover:
     def test_download_streaming(self, capsys):
         code, out, _ = run_cli("crossover", "--old", "download", "--new", "streaming",
@@ -299,11 +276,6 @@ class TestCrossover:
                                "--config", str(path), capsys=capsys)
         assert code == 0
         assert "disruption period: 7 years (peak 2012, end 2019*)" in out
-
-    def test_end_threshold_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["crossover", "--old", "cd", "--new", "download", "--end-threshold", "0.1"])
-        assert exc.value.code == 2
 
     def test_no_crossover_is_benign(self, tiny_dataset, capsys):
         code, out, _ = run_cli(

@@ -180,7 +180,7 @@ CLI = {
     ),
     "groups-no-formats": (
         ["validate", *TINY], dataset_files("2000,Old,10.0,,\n", groups="old = Old\nnew = ;\n"),
-        2, "error: {tmp}/groups.cfg: group 'new' lists no formats\n",
+        2, "error: {tmp}/groups.cfg: group 'new' has no formats\n",
     ),
     "groups-format-in-two-groups": (
         ["validate", *TINY],
@@ -268,7 +268,7 @@ CLI = {
     # one input per kind of fault
     "revenue-both-columns-empty": (
         ["validate", *TINY], dataset_files("2000,Old,,,\n"), 2,
-        "error: {tmp}/data.csv: row 1: both revenue columns are empty\n",
+        "error: {tmp}/data.csv: row 1: 2000 'Old': at least one revenue column required\n",
     ),
     "revenue-empty-format": (
         ["validate", *TINY], dataset_files("2000, ,10.0,,\n"), 2,

@@ -127,11 +127,6 @@ class TestTPValue:
         # df=1 is Cauchy: |T| > 1 has probability exactly 1/2.
         assert t_p_value(1.0, 1) == pytest.approx(0.5, abs=1e-12)
 
-    def test_against_quadrature_oracle(self):
-        assert t_p_value(3.8, 23) == pytest.approx(
-            two_sided_by_quadrature(3.8, 23), abs=1e-8
-        )
-
     @pytest.mark.parametrize("df", [1, 2, 5, 13, 23, 100])
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0, 3.8, 10.0])
     def test_oracle_grid(self, t, df):
