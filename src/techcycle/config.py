@@ -116,6 +116,11 @@ def parse_window_spec(spec: str) -> tuple[int, int] | None:
     return window
 
 
+def format_window(window: tuple[int, int]) -> str:
+    """A year pair as ``Y1:Y2``: every printed window, and what ``parse_window_spec`` reads back."""
+    return f"{window[0]}:{window[1]}"
+
+
 @frozen
 class ReferenceConfig:
     """Pinned analysis choices for the reproducible headline report.

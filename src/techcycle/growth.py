@@ -4,7 +4,7 @@ Two technologies growing along logistic curves obey an exact relation
 between their odds transforms; in the early phase (levels far below
 capacity) that relation collapses to a power law whose exponent is the
 ratio of the two growth rates.  This module implements the curves, the
-exact relation, the early-phase power law, and the log-log fit used to
+exact relation, the early-phase exponent, and the log-log fit used to
 estimate it from data.
 """
 
@@ -15,6 +15,7 @@ import math
 from operator import mul
 
 from ._record import frozen
+from .config import format_window
 from .errors import InsufficientDataError, TechCycleError
 from .market_data import RevenueSeries, positive_overlap_window
 from .regress import OlsFit, ols_simple
@@ -264,17 +265,6 @@ def implied_exponent(p_old: LogisticParams, p_new: LogisticParams) -> float:
     return odds_relation(p_new, p_old).exponent
 
 
-def allometric_coefficients(p_old: LogisticParams, p_new: LogisticParams) -> tuple[float, float]:
-    """Early-phase power law ``new ~= A * old ** B`` as ``(log A, B)``.
-
-    Far below both capacities the curves reduce to exponentials, giving
-    ``B = b_new / b_old`` and ``log A = log(k_new) - B * log(k_old) + log c1``,
-    with ``log c1 = B * a_old - a_new`` from ``odds_relation(p_new, p_old)``.
-    """
-    odds = odds_relation(p_new, p_old)
-    return math.log(p_new.k) - odds.exponent * math.log(p_old.k) + odds.log_c1, odds.exponent
-
-
 def fit_substitution(
     disruptive: RevenueSeries,
     established: RevenueSeries,
@@ -301,13 +291,13 @@ def fit_substitution(
             name = (disruptive if v > 0.0 else established).technology
             raise TechCycleError(
                 f"{name}: value for {year} is absent or non-positive inside window "
-                f"{first}-{last}"
+                f"{format_window(window)}"
             )
         xs.append(math.log(v))
         ys.append(math.log(ki))
     if len(xs) < 3:
         raise InsufficientDataError(
-            f"window {first}-{last} has {len(xs)} usable years; need >= 3"
+            f"window {format_window(window)} has {len(xs)} usable years; need >= 3"
         )
     fit = ols_simple(xs, ys)
     return SubstitutionFit(

@@ -26,7 +26,10 @@ BASE_YEAR = 2018  # the dollars of ``revenue_real_musd``; nominal-only rows are 
 
 @frozen
 class RevenueRecord:
-    """One format's revenue in one calendar year, in millions of dollars."""
+    """One format's revenue in one calendar year, in millions of dollars.
+
+    ``units`` (millions shipped) is checked (finite, >= 0) and carried, but no analysis reads it.
+    """
 
     year: int
     format: str

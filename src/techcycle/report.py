@@ -14,7 +14,8 @@ import math
 from pathlib import Path
 
 from ._record import frozen
-from .config import ReferenceConfig, load_cpi_csv, load_groups, load_revenue_csv, technology_names
+from .config import (ReferenceConfig, format_window, load_cpi_csv, load_groups, load_revenue_csv,
+                     technology_names)
 from .cycle import (
     CrossoverResult,
     CycleAggregate,
@@ -228,7 +229,7 @@ def render_fit_text(fit: SubstitutionFit) -> str:
     widths = (-12, 12, 12, 10, 10)
     lines = [
         f"Substitution fit: {fit.label}",
-        f"Window: {fit.window[0]}-{fit.window[1]}  (n={ols.n}, natural logs)",
+        f"Window: {format_window(fit.window)}  (n={ols.n}, natural logs)",
         "",
         _line(widths, ("term", "estimate", "std err", "t", "p")) + "  sig",
         *(_line(widths, (term, f"{estimate:.2f}", f"{se:.2f}", _fmt(t, 2), _fmt(p, 3)))
@@ -261,7 +262,7 @@ def render_recovery_text(result: RecoveryReport) -> str:
         f"theoretical exponent (rate ratio): {result.b_theoretical:.4f}\n"
         f"fitted exponent:                   {result.b_fitted:.4f}\n"
         f"absolute gap:                      {result.abs_gap:.4f}\n"
-        f"window: {result.window_used[0]}-{result.window_used[1]}   "
+        f"window: {format_window(result.window_used)}   "
         f"max level/capacity in window: {result.saturation_level:.4f}\n"
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from ._record import frozen
-from .config import parse_keys
+from .config import format_window, parse_keys
 from .errors import TechCycleError, WindowError
 from .growth import LogisticParams, fit_substitution, implied_exponent, logistic_value
 from .market_data import RevenueSeries
@@ -143,7 +143,7 @@ def recovery_experiment(
         # fit_substitution names the first window year that the scenario lacks
         fit = fit_substitution(new_series, old_series, window=window)
     except TechCycleError as exc:
-        raise WindowError(f"window {window} not fittable: {exc}") from exc
+        raise WindowError(f"window {format_window(window)} not fittable: {exc}") from exc
     b_theoretical = implied_exponent(s.p_old, s.p_new)
     # both curves rise with t (b > 0), so the window's last year holds the highest level
     last = window[1] - s.years[0]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from techcycle.cli import build_parser, main
-from techcycle.config import default_data_dir
+from techcycle.config import default_data_dir, parse_window_spec
 
 from builders import data_flags, dataset_files, write_files
 
@@ -344,6 +345,13 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert (payload["window_first"], payload["window_last"]) == (-15, -5)
+        # the printed window is the spelling --window reads
+        code, out, _ = run_cli("simulate", "--scenario", str(cfg), "--window=-15:-5",
+                               "--format", "text", capsys=capsys)
+        assert code == 0
+        window = re.search(r"^window: (\S+)", out, re.M).group(1)
+        assert window == "-15:-5"
+        assert parse_window_spec(window) == (-15, -5)
 
     def test_seed_override_changes_noisy_series(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

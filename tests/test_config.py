@@ -1,9 +1,12 @@
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from techcycle.config import (
     default_data_dir,
+    format_window,
     load_groups,
     load_cpi_csv,
     load_reference,
@@ -62,6 +65,11 @@ class TestWindowSpec:
 
     def test_auto(self):
         assert parse_window_spec("auto") is None
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_printed_window_reads_back(self, a, b):
+        window = (min(a, b), max(a, b))
+        assert parse_window_spec(format_window(window)) == window
 
 
 NAME_RULE = "may hold only ASCII letters, digits, '-' and '_'"

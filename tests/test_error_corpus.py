@@ -143,7 +143,7 @@ CLI = {
     ),
     "short-window": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "1990:1991"], {}, 3,
-        "error: window 1990-1991 has 2 usable years; need >= 3\n",
+        "error: window 1990:1991 has 2 usable years; need >= 3\n",
     ),
     **{
         f"config-{line.replace(' ', '')}": (
@@ -199,8 +199,8 @@ CLI = {
         )
         for window, code, message in (
             ("1960:1990", 2,
-             "cassette: value for 1960 is absent or non-positive inside window 1960-1990"),
-            ("1984:1985", 3, "window 1984-1985 has 2 usable years; need >= 3"),
+             "cassette: value for 1960 is absent or non-positive inside window 1960:1990"),
+            ("1984:1985", 3, "window 1984:1985 has 2 usable years; need >= 3"),
         )
     },
     "config-table1_window-spec": (
@@ -217,12 +217,12 @@ CLI = {
             ["simulate", "--scenario", SCENARIO, f"--window={window}"], {}, 3, message,
         )
         for window, message in (
-            ("5000:5010", "error: window (5000, 5010) not fittable: established: value for "
-                          "5000 is absent or non-positive inside window 5000-5010\n"),
-            ("35:45", "error: window (35, 45) not fittable: established: value for 41 "
-                      "is absent or non-positive inside window 35-45\n"),
-            ("-5:5", "error: window (-5, 5) not fittable: established: value for -5 "
-                     "is absent or non-positive inside window -5-5\n"),
+            ("5000:5010", "error: window 5000:5010 not fittable: established: value for "
+                          "5000 is absent or non-positive inside window 5000:5010\n"),
+            ("35:45", "error: window 35:45 not fittable: established: value for 41 "
+                      "is absent or non-positive inside window 35:45\n"),
+            ("-5:5", "error: window -5:5 not fittable: established: value for -5 "
+                     "is absent or non-positive inside window -5:5\n"),
         )
     },
     "scenario-missing-key": (
@@ -365,7 +365,7 @@ CLI = {
     ),
     "window-with-absent-year": (
         ["fit", "--old", "cassette", "--new", "streaming", "--window", "1990:2000"], {}, 2,
-        "error: streaming: value for 1990 is absent or non-positive inside window 1990-2000\n",
+        "error: streaming: value for 1990 is absent or non-positive inside window 1990:2000\n",
     ),
     "begin-after-peak": (
         ["cycles", "--config", "{tmp}/r.cfg"],
@@ -520,7 +520,7 @@ LIBRARY = {
         lambda: fit_substitution(series({t: 1.0 for t in range(2000, 2004)}, "new"),
                                  series({2000: 1.0, 2001: 0.0, 2002: 1.0, 2003: 1.0}, "old"),
                                  window=(2000, 2003)), TechCycleError,
-        "old: value for 2001 is absent or non-positive inside window 2000-2003"),
+        "old: value for 2001 is absent or non-positive inside window 2000:2003"),
     "ols-2-points": (
         lambda: ols_simple([1.0, 2.0], [1.0, 2.0]), InsufficientDataError,
         "need at least 3 observations, got 2"),

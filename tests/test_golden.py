@@ -24,7 +24,7 @@ SCENARIO = str(default_data_dir() / "scenarios" / "dual_logistic_demo.cfg")
 # format -> (digest of the written tree, digest of stdout)
 REPORT = {
     "text": (
-        "d27e694abf2ac1c3f49d9abfda6267efb114a807633d0e3246d1effbde94ada5",
+        "742d2d7cd3c35cab35d1b60ba519fc64980d47f940f351e15129eac07b0d89be",
         "36ac0a81ddaabf09b2fb026d13bcf2d876e2b247f23ea35b890e2be865ec40cb",
     ),
     "json": (
@@ -60,7 +60,7 @@ STDOUT = {
     ),
     "fit-text": (
         FIT,
-        "05436a20b9e71c095fc28e1205263165c2f1142b041bf977281667b45eafd8ee",
+        "2cffa38a2e279566e14c1856b1a37098f8ee27c338234b2290185b6df8431092",
     ),
     "fit-json": (
         [*FIT, "--format", "json"],
@@ -72,7 +72,7 @@ STDOUT = {
     ),
     "fit-auto-text": (
         ["fit", "--old", "cassette", "--new", "cd", "--window", "auto"],
-        "0e04ec1c8dcf6c552a7db6032029204dd2d9bfe60ff8ffd2807bd35a8f674b8e",
+        "8b8f4e34a3a011da7038f6eafb482b6bf3c909a7c8f2bb84b425ba727cd7e7af",
     ),
     "crossover-text": (
         CROSSOVER,
@@ -99,7 +99,7 @@ STDOUT = {
 # (digest of the --out tree, digest of stdout); --out leaves stdout as it is
 SIMULATE_TREE = (
     "683acad868ef40639e9142d4e630ed4619681c1d848d7d5d36764b6aeee0a97d",
-    "1251244fc837e5d7257a45167657d66768dc47dcf8ccba0a0701b19aa064b400",
+    "b3fd5153c269ce80208b1f76b861ee419a0e2c099d6a66f0dffbc8b2c9a15977",
 )
 
 

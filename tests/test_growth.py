@@ -14,7 +14,6 @@ from techcycle.errors import TechCycleError
 from techcycle.growth import (
     LogisticParams,
     Regime,
-    allometric_coefficients,
     classify_regime,
     fit_logistic,
     fit_substitution,
@@ -391,16 +390,6 @@ class TestOddsRelation:
         p_new = LogisticParams(k=1.0, a=0.0, b=1.0)
         assert implied_exponent(p_old, p_new) == pytest.approx(2.0)
         assert implied_exponent(p_old, p_old) == pytest.approx(1.0)
-
-    def test_allometric_coefficients_match_deep_early_phase(self):
-        p_old = LogisticParams(k=1000.0, a=12.0, b=0.3)
-        p_new = LogisticParams(k=3000.0, a=24.0, b=0.6)
-        log_a, b_ratio = allometric_coefficients(p_old, p_new)
-        assert b_ratio == pytest.approx(2.0)
-        for t in (0.0, 1.0, 2.0):
-            v = logistic_value(p_old, t)
-            ki = logistic_value(p_new, t)
-            assert math.log(ki) == pytest.approx(log_a + b_ratio * math.log(v), abs=1e-4)
 
 
 class TestFitSubstitution:

@@ -109,7 +109,7 @@ class TestFitRendering:
         text = render_fit_text(fit)
         assert text == (
             "Substitution fit: t vs t\n"
-            "Window: 2000-2005  (n=6, natural logs)\n"
+            "Window: 2000:2005  (n=6, natural logs)\n"
             "\n"
             "term            estimate     std err         t         p  sig\n"
             "log A               0.00        0.00       inf     0.000  ***\n"
